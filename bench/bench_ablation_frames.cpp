@@ -29,7 +29,8 @@ int main() {
     const arch::RoutingGraph rrg(experiment.region);
     runs.push_back(Analysis{
         experiment.region,
-        experiment.dcs_routing.per_mode_states(rrg, experiment.dcs_problem)});
+        experiment.dcs_routing.per_mode_states(
+            rrg, experiment.dcs_route_spec.instantiate(rrg))});
   }
 
   std::printf("%-12s | %-26s\n", "frame bits", "frames touched / total (avg)");

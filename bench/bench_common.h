@@ -46,12 +46,10 @@
 /// read as 0 workers) prints the offending knob and exits instead of
 /// running with a garbage configuration.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -288,7 +286,8 @@ inline void add_timing_fields(JsonRow& row, const core::TimingReport& report) {
 /// flow/RRG cache hit/miss counters. Values are emitted at full double
 /// round-trip precision (the QoR rows are regression guard rails; 6-digit
 /// default precision would mask small drifts) and non-finite values become
-/// JSON null so the file always parses. Returns a process exit code.
+/// JSON null so the file always parses (perf::json_number). Returns a
+/// process exit code.
 inline int write_rows_json(const std::string& bench_name,
                            const std::vector<JsonRow>& rows) {
   std::string path = bench_name + ".json";
@@ -299,26 +298,14 @@ inline int write_rows_json(const std::string& bench_name,
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }
-  os.precision(std::numeric_limits<double>::max_digits10);
-  auto escaped = [](const std::string& text) {
-    std::string out;
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  };
-  os << "{\n  \"bench\": \"" << escaped(bench_name) << "\",\n  \"rows\": [";
+  os << "{\n  \"bench\": \"" << perf::json_escaped(bench_name)
+     << "\",\n  \"rows\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-       << escaped(rows[i].name) << '"';
+       << perf::json_escaped(rows[i].name) << '"';
     for (const auto& [key, value] : rows[i].fields) {
-      os << ", \"" << escaped(key) << "\": ";
-      if (std::isfinite(value)) {
-        os << value;
-      } else {
-        os << "null";
-      }
+      os << ", \"" << perf::json_escaped(key)
+         << "\": " << perf::json_number(value);
     }
     os << '}';
   }

@@ -17,8 +17,10 @@
 ///
 /// QoR fields (route iterations, wirelength, final placement cost, ...) are
 /// the guard rail: a perf PR must leave them bit-identical for a fixed seed
-/// while wall_ms_min drops. The perf-counter block proves *where* the work
-/// went (heap pushes, net evaluations, audit dirty nodes, ...).
+/// while wall_ms_min drops. They are written at round-trip precision
+/// (perf::json_number), so a last-digit drift changes the file. The
+/// perf-counter block proves *where* the work went (heap pushes, net
+/// evaluations, audit dirty nodes, ...).
 ///
 /// Environment knobs:
 ///   MMFLOW_BENCH_JSON   output path (default: <bench name>.json in cwd)
@@ -113,18 +115,19 @@ class PerfBench {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
-    os << "{\n  \"bench\": \"" << name_ << "\",\n  \"cases\": [";
+    os << "{\n  \"bench\": \"" << perf::json_escaped(name_)
+       << "\",\n  \"cases\": [";
     for (std::size_t i = 0; i < cases_.size(); ++i) {
       const Case& c = cases_[i];
       os << (i == 0 ? "\n" : ",\n");
-      os << "    {\n      \"name\": \"" << c.name << "\",\n"
-         << "      \"reps\": " << c.reps << ",\n"
-         << "      \"wall_ms_min\": " << c.wall_ms_min << ",\n"
-         << "      \"wall_ms_mean\": " << c.wall_ms_mean << ",\n"
-         << "      \"qor\": {";
+      os << "    {\n      \"name\": \"" << perf::json_escaped(c.name)
+         << "\",\n      \"reps\": " << c.reps
+         << ",\n      \"wall_ms_min\": " << perf::json_number(c.wall_ms_min)
+         << ",\n      \"wall_ms_mean\": " << perf::json_number(c.wall_ms_mean)
+         << ",\n      \"qor\": {";
       for (std::size_t q = 0; q < c.qor.size(); ++q) {
-        os << (q == 0 ? "" : ", ") << '"' << c.qor[q].key
-           << "\": " << c.qor[q].value;
+        os << (q == 0 ? "" : ", ") << '"' << perf::json_escaped(c.qor[q].key)
+           << "\": " << perf::json_number(c.qor[q].value);
       }
       os << "},\n      \"perf\": " << c.perf_json << "\n    }";
     }

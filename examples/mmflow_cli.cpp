@@ -374,7 +374,8 @@ int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
 
 /// Writes the tune report as bench-style JSON ({"bench", "rows", "perf"},
 /// matching bench/bench_json.h conventions): one row per front point plus
-/// the baseline, then every trial, then the perf counters.
+/// the baseline, then every trial, then the perf counters. Numbers keep
+/// full precision (perf::json_number).
 bool write_tune_json(const std::string& path, const tune::TuneResult& result) {
   std::ofstream os(path);
   if (!os) return false;
@@ -387,14 +388,14 @@ bool write_tune_json(const std::string& path, const tune::TuneResult& result) {
       << ", \"ok\": " << (trial.ok ? "true" : "false")
       << ", \"from_ledger\": " << (trial.from_ledger ? "true" : "false");
     for (std::size_t i = 0; i < result.knob_names.size(); ++i) {
-      s << ", \"knob." << result.knob_names[i]
-        << "\": " << format_double(trial.knob_values[i], 6);
+      s << ", \"knob." << perf::json_escaped(result.knob_names[i])
+        << "\": " << perf::json_number(trial.knob_values[i]);
     }
     for (std::size_t i = 0; i < result.objective_names.size(); ++i) {
-      s << ", \"" << result.objective_names[i] << "\": "
-        << (trial.ok ? format_double(trial.objectives[i], 6) : "null");
+      s << ", \"" << perf::json_escaped(result.objective_names[i]) << "\": "
+        << (trial.ok ? perf::json_number(trial.objectives[i]) : "null");
     }
-    s << ", \"wall_ms\": " << format_double(trial.wall_ms, 1) << "}";
+    s << ", \"wall_ms\": " << perf::json_number(trial.wall_ms) << "}";
   };
   os << "{\n  \"bench\": \"tune\",\n  \"rows\": [\n";
   bool first = true;

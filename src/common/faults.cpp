@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/perf.h"
 #include "common/strings.h"
 
@@ -33,26 +34,16 @@ std::map<std::string, SiteSpec, std::less<>>& registry() {
   return specs;
 }
 
-std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Deterministic per-hit coin: hash(seed, site, hit index) mapped to [0, 1).
 /// Independent of thread scheduling — hit K of a site fires or not
 /// regardless of which worker observes it.
 double hit_uniform(std::uint64_t seed, std::string_view site,
                    std::uint64_t hit) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a_step(h, seed);
-  for (const char c : site) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  h = fnv1a_step(h, hit);
+  hash::Fnv1a fnv;
+  fnv.u64(seed);
+  fnv.bytes(site);
+  fnv.u64(hit);
+  std::uint64_t h = fnv.h;
   // splitmix64 finalizer for avalanche; fnv alone is too weak in low bits.
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;

@@ -1,8 +1,12 @@
 #include "common/perf.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <deque>
+#include <limits>
 #include <mutex>
+#include <sstream>
 #include <ostream>
 
 namespace mmflow::perf {
@@ -22,14 +26,31 @@ Store& store() {
   return s;
 }
 
-void write_escaped(std::ostream& os, std::string_view text) {
+}  // namespace
+
+std::string json_escaped(std::string_view text) {
+  std::string out;
   for (const char c : text) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(byte));
+      out += buf;
+      continue;
+    }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
   }
+  return out;
 }
 
-}  // namespace
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << value;
+  return os.str();
+}
 
 Registry& Registry::instance() {
   static Registry registry;
@@ -112,18 +133,16 @@ void Registry::write_json(std::ostream& os, int indent) const {
 
   os << "{\n" << pad2 << "\"counters\": {";
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << pad4 << '"';
-    write_escaped(os, cs[i].first);
-    os << "\": " << cs[i].second;
+    os << (i == 0 ? "\n" : ",\n") << pad4 << '"' << json_escaped(cs[i].first)
+       << "\": " << cs[i].second;
   }
   os << (cs.empty() ? "" : "\n" + pad2) << "},\n";
 
   os << pad2 << "\"timers_ms\": {";
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << pad4 << '"';
-    write_escaped(os, ts[i].first);
-    os << "\": {\"total_ms\": "
-       << static_cast<double>(ts[i].second.total_ns) / 1e6
+    os << (i == 0 ? "\n" : ",\n") << pad4 << '"' << json_escaped(ts[i].first)
+       << "\": {\"total_ms\": "
+       << json_number(static_cast<double>(ts[i].second.total_ns) / 1e6)
        << ", \"count\": " << ts[i].second.count << '}';
   }
   os << (ts.empty() ? "" : "\n" + pad2) << "}\n" << pad << '}';

@@ -134,6 +134,16 @@ inline std::uint64_t counter_value(std::string_view name) {
   return Registry::instance().counter_value(name);
 }
 
+// The one JSON emitter of every machine-readable report (perf blocks, bench
+// and tune JSON).
+
+/// `text` JSON-escaped, without the surrounding quotes.
+[[nodiscard]] std::string json_escaped(std::string_view text);
+
+/// `value` at round-trip precision (max_digits10), so a QoR field that
+/// drifts in its last digit changes the file; `null` if non-finite.
+[[nodiscard]] std::string json_number(double value);
+
 /// RAII wall-clock timer accumulating into a Timer.
 class ScopedTimer {
  public:

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/faults.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/perf.h"
 
@@ -26,39 +27,32 @@ constexpr std::uint32_t kMagic = 0x414D4D46;  // "FMMA" little-endian
 /// directories (or a key collision across kinds) reads as invalid.
 enum Kind : int { kExperiment = 1, kMdr = 2, kProbe = 3, kMdrRoutes = 4 };
 
+/// Subdirectory of each kind, indexed by Kind.
+constexpr const char* kKindDir[] = {nullptr, "experiments", "mdr", "probes",
+                                    "routes"};
+
 /// Human-maintained description of the payload field layout. Any change to
 /// a serializer below MUST be reflected here — the hash of this string is
 /// the schema hash in every entry header, so stale on-disk formats
 /// invalidate cleanly instead of deserializing garbage.
 constexpr char kSchemaDescription[] =
-    "mmflow-artifact-store v1:"
+    "mmflow-artifact-store v2:"
     "site{u8 type,i16 x,i16 y,i16 sub};"
     "arch{i32 nx,i32 ny,i32 w,i32 k,i32 iocap,u8 sbox};"
     "placement{arch,u64 n,site[n]};"
     "placenetlist{blocks[u8 type,str,u8 reg],nets[u32 drv,u32[] sinks,f64 w]};"
     "mapping{u32 luts,u32 pi,u32 po};"
     "sitespec{i32 modes,nets[str,site src,conns[site,u32 mask]]};"
-    "routeproblem{i32 modes,nets[str,u32 src,conns[u32 sink,u32 mask]]};"
     "routeresult{u8 ok,i32 iters,conns[u32 net,u32 conn,u32 mask,"
     "u32[] nodes,u32[] edges]};"
     "lutcircuit{i32 k,str,str[] pis,blocks[str,refs[u8,u32],u64 truth,"
     "u8 ff,u8 init],pos[str,u8,u32]};"
     "merge{u32[][] l2t,u32[][] pi2t,u32[][] po2t,u32 ntlut,u32 ntio};"
     "experiment{arch region,i32 minw,modeimpl[],routeresult[] mdr_routing,"
-    "routeproblem[] mdr_problems,u8 has_tunable,lutcircuit[] tmodes,merge,"
-    "site[] tlut,site[] tio,sitespec dcs,routeproblem dcs_p,"
-    "routeresult dcs_r,u64 total,u64 merged};"
+    "u8 has_tunable,lutcircuit[] tmodes,merge,site[] tlut,site[] tio,"
+    "sitespec dcs,routeresult dcs_r,u64 total,u64 merged};"
     "mdr{modeimpl[]=netlist,mapping,placement,sitespec};"
-    "probe{u8};routes{routeproblem[],routeresult[]}";
-
-std::uint64_t fnv1a(const char* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<std::uint8_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+    "probe{u8};routes{routeresult[]}";
 
 /// Thrown by the Reader on any structural violation; load() maps it (and
 /// every domain-validation exception) to "invalid entry".
@@ -73,15 +67,14 @@ struct Writer {
   std::string bytes;
 
   void u8(std::uint8_t v) { bytes.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  void le(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u16(std::uint16_t v) { le(v, 2); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
   void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -108,21 +101,16 @@ struct Reader {
     need(1);
     return static_cast<std::uint8_t>(data[pos++]);
   }
-  std::uint16_t u16() {
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
+  std::uint64_t le(int width) {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    }
     return v;
   }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
   std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
@@ -298,36 +286,6 @@ SiteRouteSpec read_site_spec(Reader& r) {
   return s;
 }
 
-void write_route_problem(Writer& w, const route::RouteProblem& p) {
-  w.i32(p.num_modes);
-  w.u64(p.nets.size());
-  for (const auto& net : p.nets) {
-    w.str(net.name);
-    w.u32(net.source_node);
-    w.u64(net.conns.size());
-    for (const auto& conn : net.conns) {
-      w.u32(conn.sink_node);
-      w.u32(conn.modes);
-    }
-  }
-}
-
-route::RouteProblem read_route_problem(Reader& r) {
-  route::RouteProblem p;
-  p.num_modes = r.i32();
-  p.nets.resize(r.count(20));
-  for (auto& net : p.nets) {
-    net.name = r.str();
-    net.source_node = r.u32();
-    net.conns.resize(r.count(8));
-    for (auto& conn : net.conns) {
-      conn.sink_node = r.u32();
-      conn.modes = r.u32();
-    }
-  }
-  return p;
-}
-
 void write_route_result(Writer& w, const route::RouteResult& res) {
   w.u8(res.success ? 1 : 0);
   w.i32(res.iterations);
@@ -491,52 +449,93 @@ ModeImpl read_mode_impl(Reader& r) {
                   std::move(spec)};
 }
 
-void write_experiment(Writer& w, const MultiModeExperiment& e) {
-  write_arch(w, e.region);
-  w.i32(e.min_width);
-  w.u64(e.mdr.size());
-  for (const auto& impl : e.mdr) write_mode_impl(w, impl);
-  w.u64(e.mdr_routing.size());
-  for (const auto& res : e.mdr_routing) write_route_result(w, res);
-  w.u64(e.mdr_problems.size());
-  for (const auto& p : e.mdr_problems) write_route_problem(w, p);
-  w.u8(e.tunable.has_value() ? 1 : 0);
-  if (e.tunable.has_value()) write_tunable(w, *e.tunable);
-  w.u64(e.tlut_site.size());
-  for (const auto& s : e.tlut_site) write_site(w, s);
-  w.u64(e.tio_site.size());
-  for (const auto& s : e.tio_site) write_site(w, s);
-  write_site_spec(w, e.dcs_route_spec);
-  write_route_problem(w, e.dcs_problem);
-  write_route_result(w, e.dcs_routing);
-  w.u64(e.total_mode_connections);
-  w.u64(e.merged_connections);
-}
+// ---- per-type payloads ------------------------------------------------------
+//
+// One Codec per artifact type: its entry kind plus its payload writer and
+// reader. The framed load/save path below is shared by all four.
 
-MultiModeExperiment read_experiment(Reader& r) {
-  MultiModeExperiment e;
-  e.region = read_arch(r);
-  e.min_width = r.i32();
-  const std::size_t num_mdr = r.count(30);
-  e.mdr.reserve(num_mdr);
-  for (std::size_t m = 0; m < num_mdr; ++m) e.mdr.push_back(read_mode_impl(r));
-  e.mdr_routing.resize(r.count(13));
-  for (auto& res : e.mdr_routing) res = read_route_result(r);
-  e.mdr_problems.resize(r.count(12));
-  for (auto& p : e.mdr_problems) p = read_route_problem(r);
-  if (r.u8() != 0) e.tunable.emplace(read_tunable(r));
-  e.tlut_site.resize(r.count(7));
-  for (auto& s : e.tlut_site) s = read_site(r);
-  e.tio_site.resize(r.count(7));
-  for (auto& s : e.tio_site) s = read_site(r);
-  e.dcs_route_spec = read_site_spec(r);
-  e.dcs_problem = read_route_problem(r);
-  e.dcs_routing = read_route_result(r);
-  e.total_mode_connections = r.u64();
-  e.merged_connections = r.u64();
-  if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-  return e;
-}
+template <typename T>
+struct Codec;
+
+template <>
+struct Codec<std::vector<ModeImpl>> {
+  static constexpr int kind = kMdr;
+  static void write(Writer& w, const std::vector<ModeImpl>& mdr) {
+    w.u64(mdr.size());
+    for (const auto& impl : mdr) write_mode_impl(w, impl);
+  }
+  static std::vector<ModeImpl> read(Reader& r) {
+    std::vector<ModeImpl> mdr;
+    const std::size_t num_modes = r.count(30);
+    mdr.reserve(num_modes);
+    for (std::size_t m = 0; m < num_modes; ++m) {
+      mdr.push_back(read_mode_impl(r));
+    }
+    return mdr;
+  }
+};
+
+template <>
+struct Codec<bool> {
+  static constexpr int kind = kProbe;
+  static void write(Writer& w, bool routable) { w.u8(routable ? 1 : 0); }
+  static bool read(Reader& r) { return r.u8() != 0; }
+};
+
+template <>
+struct Codec<std::vector<route::RouteResult>> {
+  static constexpr int kind = kMdrRoutes;
+  static void write(Writer& w, const std::vector<route::RouteResult>& routes) {
+    w.u64(routes.size());
+    for (const auto& res : routes) write_route_result(w, res);
+  }
+  static std::vector<route::RouteResult> read(Reader& r) {
+    std::vector<route::RouteResult> routes(r.count(13));
+    for (auto& res : routes) res = read_route_result(r);
+    return routes;
+  }
+};
+
+template <>
+struct Codec<MultiModeExperiment> {
+  static constexpr int kind = kExperiment;
+  using Mdr = Codec<std::vector<ModeImpl>>;
+  using Routes = Codec<std::vector<route::RouteResult>>;
+
+  static void write(Writer& w, const MultiModeExperiment& e) {
+    write_arch(w, e.region);
+    w.i32(e.min_width);
+    Mdr::write(w, e.mdr);
+    Routes::write(w, e.mdr_routing);
+    w.u8(e.tunable.has_value() ? 1 : 0);
+    if (e.tunable.has_value()) write_tunable(w, *e.tunable);
+    w.u64(e.tlut_site.size());
+    for (const auto& s : e.tlut_site) write_site(w, s);
+    w.u64(e.tio_site.size());
+    for (const auto& s : e.tio_site) write_site(w, s);
+    write_site_spec(w, e.dcs_route_spec);
+    write_route_result(w, e.dcs_routing);
+    w.u64(e.total_mode_connections);
+    w.u64(e.merged_connections);
+  }
+  static MultiModeExperiment read(Reader& r) {
+    MultiModeExperiment e;
+    e.region = read_arch(r);
+    e.min_width = r.i32();
+    e.mdr = Mdr::read(r);
+    e.mdr_routing = Routes::read(r);
+    if (r.u8() != 0) e.tunable.emplace(read_tunable(r));
+    e.tlut_site.resize(r.count(7));
+    for (auto& s : e.tlut_site) s = read_site(r);
+    e.tio_site.resize(r.count(7));
+    for (auto& s : e.tio_site) s = read_site(r);
+    e.dcs_route_spec = read_site_spec(r);
+    e.dcs_routing = read_route_result(r);
+    e.total_mode_connections = r.u64();
+    e.merged_connections = r.u64();
+    return e;
+  }
+};
 
 // ---- entry framing ----------------------------------------------------------
 
@@ -554,7 +553,7 @@ void write_header(Writer& w, int kind, const FlowKey& key,
   w.i32(key.width);
   w.u64(key.variant);
   w.u64(payload.size());
-  w.u64(fnv1a(payload.data(), payload.size()));
+  w.u64(hash::fnv1a(payload));
 }
 
 /// Validates the framing of a loaded entry and positions `r` at the payload
@@ -582,18 +581,8 @@ void check_header(Reader& r, int kind, const FlowKey& key) {
   const std::uint64_t payload_size = r.u64();
   const std::uint64_t checksum = r.u64();
   if (payload_size != r.remaining()) throw CorruptEntry("payload size mismatch");
-  if (checksum != fnv1a(r.data + r.pos, r.remaining())) {
+  if (checksum != hash::fnv1a({r.data + r.pos, r.remaining()})) {
     throw CorruptEntry("payload checksum mismatch");
-  }
-}
-
-const char* kind_dir(int kind) {
-  switch (kind) {
-    case kExperiment: return "experiments";
-    case kMdr: return "mdr";
-    case kProbe: return "probes";
-    case kMdrRoutes: return "routes";
-    default: return "unknown";
   }
 }
 
@@ -611,13 +600,37 @@ std::string key_filename(const FlowKey& key) {
   return buf;
 }
 
+}  // namespace
+
+// ---- ArtifactStore ----------------------------------------------------------
+
+std::uint64_t ArtifactStore::schema_hash() {
+  static const std::uint64_t value = hash::fnv1a(kSchemaDescription);
+  return value;
+}
+
+ArtifactStore::ArtifactStore(std::filesystem::path root)
+    : root_(std::move(root)) {
+  // Best-effort: an uncreatable directory leaves a store whose reads miss
+  // and whose writes fail gracefully (counted, never thrown).
+  for (const int kind : {kExperiment, kMdr, kProbe, kMdrRoutes}) {
+    std::error_code ec;
+    const std::filesystem::path dir = root_ / kKindDir[kind];
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      MMFLOW_WARN("artifact store: cannot create " << dir.string() << " ("
+                                                   << ec.message() << ")");
+    }
+  }
+}
+
 /// Loads, frames and deserializes one entry; all outcomes funnel into the
-/// disk_{hits,misses,invalid} counters here so every load_* shares the
-/// failure contract.
-template <typename T, typename ReadFn>
-std::optional<T> load_entry(const std::filesystem::path& root, int kind,
-                            const FlowKey& key, const ReadFn& read_payload) {
-  const std::filesystem::path path = root / kind_dir(kind) / key_filename(key);
+/// disk_{hits,misses,invalid} counters here so every artifact kind shares
+/// the failure contract.
+template <typename T>
+std::optional<T> ArtifactStore::load(const FlowKey& key) const {
+  const std::filesystem::path path =
+      root_ / kKindDir[Codec<T>::kind] / key_filename(key);
   std::string bytes;
   {
     std::error_code ec;
@@ -639,8 +652,9 @@ std::optional<T> load_entry(const std::filesystem::path& root, int kind,
     // corruption would, exercising the degrade-to-miss path end to end.
     faults::maybe_throw("store.read");
     Reader r{bytes.data(), bytes.size(), 0};
-    check_header(r, kind, key);
-    T value = read_payload(r);
+    check_header(r, Codec<T>::kind, key);
+    T value = Codec<T>::read(r);
+    if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
     MMFLOW_PERF_ADD("flowcache.disk_hits", 1);
     return value;
   } catch (const std::exception& e) {
@@ -653,33 +667,8 @@ std::optional<T> load_entry(const std::filesystem::path& root, int kind,
   }
 }
 
-}  // namespace
-
-// ---- ArtifactStore ----------------------------------------------------------
-
-std::uint64_t ArtifactStore::schema_hash() {
-  static const std::uint64_t hash =
-      fnv1a(kSchemaDescription, sizeof(kSchemaDescription) - 1);
-  return hash;
-}
-
-ArtifactStore::ArtifactStore(std::filesystem::path root)
-    : root_(std::move(root)) {
-  // Best-effort: an uncreatable directory leaves a store whose reads miss
-  // and whose writes fail gracefully (counted, never thrown).
-  for (const int kind : {kExperiment, kMdr, kProbe, kMdrRoutes}) {
-    std::error_code ec;
-    const std::filesystem::path dir = root_ / kind_dir(kind);
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      MMFLOW_WARN("artifact store: cannot create " << dir.string() << " ("
-                                                   << ec.message() << ")");
-    }
-  }
-}
-
-bool ArtifactStore::commit(int kind, const FlowKey& key,
-                           const std::string& payload) {
+template <typename T>
+bool ArtifactStore::save(const FlowKey& key, const T& value) {
   if (faults::enabled()) {
     // Chaos hook for disk-full/unwritable-media: an injected write fault is
     // absorbed here exactly like a failed stream below — counted, warned,
@@ -692,12 +681,14 @@ bool ArtifactStore::commit(int kind, const FlowKey& key,
       return false;
     }
   }
+  Writer payload;
+  Codec<T>::write(payload, value);
   Writer entry;
-  write_header(entry, kind, key, payload);
-  entry.bytes.append(payload);
+  write_header(entry, Codec<T>::kind, key, payload.bytes);
+  entry.bytes.append(payload.bytes);
 
   const std::filesystem::path final_path =
-      root_ / kind_dir(kind) / key_filename(key);
+      root_ / kKindDir[Codec<T>::kind] / key_filename(key);
   // One commit at a time per store: the tmp-name counter stays race-free and
   // parallel batch workers' writes land in a deterministic serial order.
   const std::lock_guard<std::mutex> lock(commit_mutex_);
@@ -731,82 +722,47 @@ bool ArtifactStore::commit(int kind, const FlowKey& key,
 
 std::optional<MultiModeExperiment> ArtifactStore::load_experiment(
     const FlowKey& key) const {
-  return load_entry<MultiModeExperiment>(
-      root_, kExperiment, key, [](Reader& r) { return read_experiment(r); });
+  return load<MultiModeExperiment>(key);
 }
 
 bool ArtifactStore::save_experiment(const FlowKey& key,
                                     const MultiModeExperiment& experiment) {
-  Writer w;
-  write_experiment(w, experiment);
-  return commit(kExperiment, key, w.bytes);
+  return save(key, experiment);
 }
 
 std::optional<std::vector<ModeImpl>> ArtifactStore::load_mdr(
     const FlowKey& key) const {
-  return load_entry<std::vector<ModeImpl>>(
-      root_, kMdr, key, [](Reader& r) {
-        std::vector<ModeImpl> mdr;
-        const std::size_t num_modes = r.count(30);
-        mdr.reserve(num_modes);
-        for (std::size_t m = 0; m < num_modes; ++m) {
-          mdr.push_back(read_mode_impl(r));
-        }
-        if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-        return mdr;
-      });
+  return load<std::vector<ModeImpl>>(key);
 }
 
 bool ArtifactStore::save_mdr(const FlowKey& key,
                              const std::vector<ModeImpl>& mdr) {
-  Writer w;
-  w.u64(mdr.size());
-  for (const auto& impl : mdr) write_mode_impl(w, impl);
-  return commit(kMdr, key, w.bytes);
+  return save(key, mdr);
 }
 
 std::optional<bool> ArtifactStore::load_probe(const FlowKey& key) const {
-  return load_entry<bool>(root_, kProbe, key, [](Reader& r) {
-    const bool routable = r.u8() != 0;
-    if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-    return routable;
-  });
+  return load<bool>(key);
 }
 
-bool ArtifactStore::save_probe(const FlowKey& key, bool routable) {
-  Writer w;
-  w.u8(routable ? 1 : 0);
-  return commit(kProbe, key, w.bytes);
+bool ArtifactStore::save_probe(const FlowKey& key, const bool& routable) {
+  return save(key, routable);
 }
 
-std::optional<MdrFinalRoutes> ArtifactStore::load_mdr_routes(
+std::optional<std::vector<route::RouteResult>> ArtifactStore::load_mdr_routes(
     const FlowKey& key) const {
-  return load_entry<MdrFinalRoutes>(root_, kMdrRoutes, key, [](Reader& r) {
-    MdrFinalRoutes routes;
-    routes.problems.resize(r.count(12));
-    for (auto& p : routes.problems) p = read_route_problem(r);
-    routes.routings.resize(r.count(13));
-    for (auto& res : routes.routings) res = read_route_result(r);
-    if (r.remaining() != 0) throw CorruptEntry("trailing bytes");
-    return routes;
-  });
+  return load<std::vector<route::RouteResult>>(key);
 }
 
-bool ArtifactStore::save_mdr_routes(const FlowKey& key,
-                                    const MdrFinalRoutes& routes) {
-  Writer w;
-  w.u64(routes.problems.size());
-  for (const auto& p : routes.problems) write_route_problem(w, p);
-  w.u64(routes.routings.size());
-  for (const auto& res : routes.routings) write_route_result(w, res);
-  return commit(kMdrRoutes, key, w.bytes);
+bool ArtifactStore::save_mdr_routes(
+    const FlowKey& key, const std::vector<route::RouteResult>& routes) {
+  return save(key, routes);
 }
 
 std::size_t ArtifactStore::size() const {
   std::size_t entries = 0;
   for (const int kind : {kExperiment, kMdr, kProbe, kMdrRoutes}) {
     std::error_code ec;
-    std::filesystem::directory_iterator it(root_ / kind_dir(kind), ec);
+    std::filesystem::directory_iterator it(root_ / kKindDir[kind], ec);
     if (ec) continue;
     for (const auto& entry : it) {
       if (entry.path().extension() == ".bin") ++entries;

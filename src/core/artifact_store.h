@@ -14,7 +14,7 @@
 /// <root>/experiments/<key>.bin   MultiModeExperiment
 /// <root>/mdr/<key>.bin           std::vector<ModeImpl>
 /// <root>/probes/<key>.bin        bool (routability at key.width)
-/// <root>/routes/<key>.bin        MdrFinalRoutes
+/// <root>/routes/<key>.bin        std::vector<route::RouteResult>
 /// ```
 ///
 /// `<key>` spells out all seven FlowKey fields in hex, so the filename *is*
@@ -23,7 +23,9 @@
 /// version, schema hash (an FNV over a description of the serialized field
 /// layout — bumping either invalidates every stale entry cleanly), the
 /// artifact kind, the full FlowKey again, and the payload size + FNV
-/// checksum. A little-endian, fixed-width binary payload follows.
+/// checksum. A little-endian, fixed-width binary payload follows. One
+/// framed load/save path serves all four kinds; each type contributes only
+/// its payload codec.
 ///
 /// ## Failure contract
 ///
@@ -40,10 +42,12 @@
 /// ## Determinism contract
 ///
 /// Every payload either stores a computed artifact bit-for-bit (placement
-/// sites, routed paths, problems, region) or stores the exact inputs of a
-/// deterministic reconstruction (the Tunable circuit is persisted as its
+/// sites, route specs, routed paths, region) or stores the exact inputs of
+/// a deterministic reconstruction (the Tunable circuit is persisted as its
 /// mode circuits + merge assignment and rebuilt through the
-/// `TunableCircuit` constructor). A warm process therefore reproduces a
+/// `TunableCircuit` constructor). What a consumer can derive is not stored
+/// at all: route problems are `SiteRouteSpec::instantiate` of the stored
+/// specs against the region's RRG. A warm process therefore reproduces a
 /// cold process's QoR bit-identically — asserted by
 /// tests/test_artifact_store.cpp and the CI persistent-cache smoke job.
 ///
@@ -80,8 +84,6 @@ class ArtifactStore {
   /// gracefully — a flow with a broken cache dir still completes.
   explicit ArtifactStore(std::filesystem::path root);
 
-  [[nodiscard]] const std::filesystem::path& root() const { return root_; }
-
   // Each load returns the artifact, or nullopt on a miss (absent file) or an
   // invalid entry (see the failure contract above). Each save returns
   // whether the entry was committed.
@@ -95,18 +97,25 @@ class ArtifactStore {
   bool save_mdr(const FlowKey& key, const std::vector<ModeImpl>& mdr);
 
   [[nodiscard]] std::optional<bool> load_probe(const FlowKey& key) const;
-  bool save_probe(const FlowKey& key, bool routable);
+  bool save_probe(const FlowKey& key, const bool& routable);
 
-  [[nodiscard]] std::optional<MdrFinalRoutes> load_mdr_routes(
+  /// The final-width MDR routings, one per mode.
+  [[nodiscard]] std::optional<std::vector<route::RouteResult>> load_mdr_routes(
       const FlowKey& key) const;
-  bool save_mdr_routes(const FlowKey& key, const MdrFinalRoutes& routes);
+  bool save_mdr_routes(const FlowKey& key,
+                       const std::vector<route::RouteResult>& routes);
 
   /// Committed entry files across all four kinds (diagnostics; walks the
   /// directory).
   [[nodiscard]] std::size_t size() const;
 
  private:
-  bool commit(int kind, const FlowKey& key, const std::string& payload);
+  // The one framed load/commit path; the per-type payload codecs live in
+  // the .cpp.
+  template <typename T>
+  [[nodiscard]] std::optional<T> load(const FlowKey& key) const;
+  template <typename T>
+  bool save(const FlowKey& key, const T& value);
 
   std::filesystem::path root_;
   mutable std::mutex commit_mutex_;  ///< serializes writes (tmp names, rename)

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/perf.h"
 #include "core/artifact_store.h"
@@ -37,23 +38,15 @@ route::RouteProblem SiteRouteSpec::instantiate(const RoutingGraph& rrg) const {
 
 namespace {
 
-/// Byte-wise FNV-1a accumulator; every field is serialized through it so the
-/// hash is a function of values only, never of memory layout or padding.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// Cache-key hasher; every field is serialized through it so the hash is a
+/// function of values only, never of memory layout or padding. Strings are
+/// length-prefixed, doubles canonicalized.
+struct Fnv : hash::Fnv1a {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(canonical_f64_bits(v)); }
   void str(const std::string& s) {
     u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+    bytes(s);
   }
 };
 
@@ -154,54 +147,104 @@ std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
 
 // ---- FlowCache --------------------------------------------------------------
 
+FlowCache::FlowCache()
+    : experiments_{perf::counter("flowcache.experiment_hits"),
+                   perf::counter("flowcache.experiment_misses"),
+                   &ArtifactStore::load_experiment,
+                   &ArtifactStore::save_experiment,
+                   {}},
+      mdr_{perf::counter("flowcache.mdr_hits"),
+           perf::counter("flowcache.mdr_misses"), &ArtifactStore::load_mdr,
+           &ArtifactStore::save_mdr, {}},
+      probes_{perf::counter("flowcache.probe_hits"),
+              perf::counter("flowcache.probe_misses"),
+              &ArtifactStore::load_probe, &ArtifactStore::save_probe, {}},
+      mdr_routes_{perf::counter("flowcache.final_route_hits"),
+                  perf::counter("flowcache.final_route_misses"),
+                  &ArtifactStore::load_mdr_routes,
+                  &ArtifactStore::save_mdr_routes,
+                  {}} {}
+
 void FlowCache::attach_store(std::shared_ptr<ArtifactStore> store) {
   const std::lock_guard<std::mutex> lock(mutex_);
   store_ = std::move(store);
 }
 
-std::shared_ptr<ArtifactStore> FlowCache::store() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return store_;
-}
-
-std::shared_ptr<const MultiModeExperiment> FlowCache::find_experiment(
-    const FlowKey& key) {
+template <typename T>
+std::shared_ptr<const T> FlowCache::find(Tier<T>& tier, const FlowKey& key) {
   std::shared_ptr<ArtifactStore> store;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = experiments_.find(key);
-    if (it != experiments_.end()) {
-      MMFLOW_PERF_ADD("flowcache.experiment_hits", 1);
+    const auto it = tier.entries.find(key);
+    if (it != tier.entries.end()) {
+      tier.hits.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
-    MMFLOW_PERF_ADD("flowcache.experiment_misses", 1);
+    tier.misses.fetch_add(1, std::memory_order_relaxed);
     store = store_;
   }
   if (store == nullptr) return nullptr;
   // Disk read-through outside the lock (I/O + deserialization must not
   // serialize other keys' lookups); concurrent loads of the same key race
   // benignly — identical bytes, first promotion into memory wins.
-  auto loaded = store->load_experiment(key);
+  auto loaded = ((*store).*tier.load)(key);
   if (!loaded.has_value()) return nullptr;
-  auto value = std::make_shared<const MultiModeExperiment>(std::move(*loaded));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return experiments_.try_emplace(key, std::move(value)).first->second;
+  return promote(tier, key, std::move(*loaded));
 }
 
-std::shared_ptr<const MultiModeExperiment> FlowCache::store_experiment(
-    const FlowKey& key, MultiModeExperiment experiment) {
-  auto value =
-      std::make_shared<const MultiModeExperiment>(std::move(experiment));
+template <typename T>
+std::shared_ptr<const T> FlowCache::promote(Tier<T>& tier, const FlowKey& key,
+                                            T value) {
+  auto shared = std::make_shared<const T>(std::move(value));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return tier.entries.try_emplace(key, std::move(shared)).first->second;
+}
+
+template <typename T>
+std::shared_ptr<const T> FlowCache::insert(Tier<T>& tier, const FlowKey& key,
+                                           T value) {
+  auto shared = std::make_shared<const T>(std::move(value));
   std::shared_ptr<ArtifactStore> store;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = experiments_.try_emplace(key, value);
+    const auto [it, inserted] = tier.entries.try_emplace(key, shared);
     if (!inserted) return it->second;  // already cached (and persisted)
     store = store_;
   }
   // Write-behind: only the canonical first writer persists the entry.
-  if (store != nullptr) store->save_experiment(key, *value);
-  return value;
+  if (store != nullptr) ((*store).*tier.save)(key, *shared);
+  return shared;
+}
+
+std::shared_ptr<const MultiModeExperiment> FlowCache::find_experiment(
+    const FlowKey& key) {
+  return find(experiments_, key);
+}
+
+std::shared_ptr<const MultiModeExperiment> FlowCache::store_experiment(
+    const FlowKey& key, MultiModeExperiment experiment) {
+  return insert(experiments_, key, std::move(experiment));
+}
+
+std::optional<bool> FlowCache::find_probe(const FlowKey& key) {
+  const auto routable = find(probes_, key);
+  if (routable == nullptr) return std::nullopt;
+  return *routable;
+}
+
+bool FlowCache::store_probe(const FlowKey& key, bool routable) {
+  return *insert(probes_, key, routable);
+}
+
+std::shared_ptr<const std::vector<route::RouteResult>>
+FlowCache::find_mdr_routes(const FlowKey& key) {
+  return find(mdr_routes_, key);
+}
+
+std::shared_ptr<const std::vector<route::RouteResult>>
+FlowCache::store_mdr_routes(const FlowKey& key,
+                            std::vector<route::RouteResult> routes) {
+  return insert(mdr_routes_, key, std::move(routes));
 }
 
 std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
@@ -212,16 +255,16 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
   std::shared_ptr<ArtifactStore> store;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = mdr_.find(key);
-    if (it != mdr_.end()) {
-      MMFLOW_PERF_ADD("flowcache.mdr_hits", 1);
+    const auto it = mdr_.entries.find(key);
+    if (it != mdr_.entries.end()) {
+      mdr_.hits.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
     const auto inflight = mdr_inflight_.find(key);
     if (inflight != mdr_inflight_.end()) {
       waiting = inflight->second;
     } else {
-      MMFLOW_PERF_ADD("flowcache.mdr_misses", 1);
+      mdr_.misses.fetch_add(1, std::memory_order_relaxed);
       mdr_inflight_.emplace(key, promise.get_future().share());
       store = store_;
     }
@@ -229,7 +272,7 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
   if (waiting.valid()) {
     // Another worker is annealing this bundle right now; wait and share
     // its result instead of duplicating the work.
-    MMFLOW_PERF_ADD("flowcache.mdr_hits", 1);
+    mdr_.hits.fetch_add(1, std::memory_order_relaxed);
     return waiting.get();
   }
   std::shared_ptr<const std::vector<ModeImpl>> value;
@@ -238,14 +281,9 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
     // already makes this thread the single loader/computer/writer for the
     // key, so store reads and the write-behind are naturally serialized.
     std::optional<std::vector<ModeImpl>> loaded;
-    if (store != nullptr) loaded = store->load_mdr(key);
-    if (loaded.has_value()) {
-      value =
-          std::make_shared<const std::vector<ModeImpl>>(std::move(*loaded));
-    } else {
-      value = std::make_shared<const std::vector<ModeImpl>>(compute());
-      if (store != nullptr) store->save_mdr(key, *value);
-    }
+    if (store != nullptr) loaded = ((*store).*mdr_.load)(key);
+    value = loaded.has_value() ? promote(mdr_, key, std::move(*loaded))
+                               : insert(mdr_, key, compute());
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -256,94 +294,24 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    mdr_.try_emplace(key, value);
     mdr_inflight_.erase(key);
   }
   promise.set_value(value);
   return value;
 }
 
-std::optional<bool> FlowCache::find_probe(const FlowKey& key) {
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = probes_.find(key);
-    if (it != probes_.end()) {
-      MMFLOW_PERF_ADD("flowcache.probe_hits", 1);
-      return it->second;
-    }
-    MMFLOW_PERF_ADD("flowcache.probe_misses", 1);
-    store = store_;
-  }
-  if (store == nullptr) return std::nullopt;
-  const auto loaded = store->load_probe(key);
-  if (!loaded.has_value()) return std::nullopt;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return probes_.try_emplace(key, *loaded).first->second;
-}
-
-bool FlowCache::store_probe(const FlowKey& key, bool routable) {
-  std::shared_ptr<ArtifactStore> store;
-  bool stored = routable;
-  bool inserted = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, fresh] = probes_.try_emplace(key, routable);
-    stored = it->second;
-    inserted = fresh;
-    store = store_;
-  }
-  if (inserted && store != nullptr) store->save_probe(key, stored);
-  return stored;
-}
-
-std::shared_ptr<const MdrFinalRoutes> FlowCache::find_mdr_routes(
-    const FlowKey& key) {
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = mdr_routes_.find(key);
-    if (it != mdr_routes_.end()) {
-      MMFLOW_PERF_ADD("flowcache.final_route_hits", 1);
-      return it->second;
-    }
-    MMFLOW_PERF_ADD("flowcache.final_route_misses", 1);
-    store = store_;
-  }
-  if (store == nullptr) return nullptr;
-  auto loaded = store->load_mdr_routes(key);
-  if (!loaded.has_value()) return nullptr;
-  auto value = std::make_shared<const MdrFinalRoutes>(std::move(*loaded));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return mdr_routes_.try_emplace(key, std::move(value)).first->second;
-}
-
-std::shared_ptr<const MdrFinalRoutes> FlowCache::store_mdr_routes(
-    const FlowKey& key, MdrFinalRoutes routes) {
-  auto value = std::make_shared<const MdrFinalRoutes>(std::move(routes));
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = mdr_routes_.try_emplace(key, value);
-    if (!inserted) return it->second;
-    store = store_;
-  }
-  if (store != nullptr) store->save_mdr_routes(key, *value);
-  return value;
-}
-
 std::size_t FlowCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return experiments_.size() + mdr_.size() + probes_.size() +
-         mdr_routes_.size();
+  return experiments_.entries.size() + mdr_.entries.size() +
+         probes_.entries.size() + mdr_routes_.entries.size();
 }
 
 void FlowCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  experiments_.clear();
-  mdr_.clear();
-  probes_.clear();
-  mdr_routes_.clear();
+  experiments_.entries.clear();
+  mdr_.entries.clear();
+  probes_.entries.clear();
+  mdr_routes_.entries.clear();
 }
 
 // ---- RrgCache ---------------------------------------------------------------
@@ -613,26 +581,21 @@ MultiModeExperiment compute_experiment(
   const RoutingGraph& rrg = *rrg_sp;
   FlowKey final_key = base_key;
   final_key.width = exp.region.channel_width;
-  std::shared_ptr<const MdrFinalRoutes> cached_final;
+  std::shared_ptr<const std::vector<route::RouteResult>> cached_final;
   if (cache != nullptr) cached_final = cache->find_mdr_routes(final_key);
   if (cached_final != nullptr) {
-    exp.mdr_problems = cached_final->problems;
-    exp.mdr_routing = cached_final->routings;
+    exp.mdr_routing = *cached_final;
   } else {
     for (const auto& impl : exp.mdr) {
-      exp.mdr_problems.push_back(impl.route_spec.instantiate(rrg));
       exp.mdr_routing.push_back(
-          route::route(rrg, exp.mdr_problems.back(), router));
+          route::route(rrg, impl.route_spec.instantiate(rrg), router));
       MMFLOW_CHECK_MSG(exp.mdr_routing.back().success,
                        "MDR mode unroutable at relaxed width");
     }
-    if (cache != nullptr) {
-      cache->store_mdr_routes(final_key,
-                              MdrFinalRoutes{exp.mdr_problems, exp.mdr_routing});
-    }
+    if (cache != nullptr) cache->store_mdr_routes(final_key, exp.mdr_routing);
   }
-  exp.dcs_problem = exp.dcs_route_spec.instantiate(rrg);
-  exp.dcs_routing = route::route(rrg, exp.dcs_problem, router);
+  exp.dcs_routing =
+      route::route(rrg, exp.dcs_route_spec.instantiate(rrg), router);
   MMFLOW_CHECK_MSG(exp.dcs_routing.success,
                    "DCS circuit unroutable at relaxed width");
   return exp;
@@ -696,8 +659,6 @@ std::shared_ptr<const MultiModeExperiment> run_experiment_shared(
     base_key = exp_key;
     base_key.engine = 0;
     base_key.variant = 0;
-  }
-  if (cache != nullptr) {
     if (auto hit = cache->find_experiment(exp_key)) return hit;
   }
 

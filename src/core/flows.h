@@ -26,7 +26,12 @@
 ///    (netlist hash, arch hash, options hash, seed, engine, width), at four
 ///    granularities: whole experiments, the engine-independent MDR bundle
 ///    (per-mode placements + route specs), per-width MDR routability probes,
-///    and the final-width MDR routings. The sub-experiment entries are what
+///    and the final-width MDR routings. All four share one tier
+///    implementation (memory map, disk read-through, write-behind); only
+///    the MDR bundle adds in-flight sharing on top. Nothing derivable is
+///    cached: a `RouteProblem` is `SiteRouteSpec::instantiate` of a stored
+///    spec against the region's RRG, so consumers re-instantiate it
+///    instead of carrying a second copy. The sub-experiment entries are what
 ///    make cost-engine comparisons cheap: the MDR side of an EdgeMatch run
 ///    is bit-identical to the MDR side of a WireLength run, so the second
 ///    engine reuses it instead of re-annealing and re-routing.
@@ -69,6 +74,7 @@
 
 #include "arch/rrg.h"
 #include "bitstream/config_model.h"
+#include "common/perf.h"
 #include "core/combined_place.h"
 #include "route/router.h"
 #include "tunable/tunable_circuit.h"
@@ -151,16 +157,16 @@ struct MultiModeExperiment {
 
   // MDR.
   std::vector<ModeImpl> mdr;
-  std::vector<route::RouteResult> mdr_routing;      ///< per mode
-  std::vector<route::RouteProblem> mdr_problems;    ///< per mode (final W)
+  /// Per mode, routed at `region`; its problem is
+  /// `mdr[m].route_spec.instantiate(RoutingGraph(region))`.
+  std::vector<route::RouteResult> mdr_routing;
 
   // DCS.
   std::optional<tunable::TunableCircuit> tunable;
   std::vector<arch::Site> tlut_site;
   std::vector<arch::Site> tio_site;
   SiteRouteSpec dcs_route_spec;
-  route::RouteProblem dcs_problem;                  ///< final W
-  route::RouteResult dcs_routing;
+  route::RouteResult dcs_routing;  ///< routed `dcs_route_spec` at `region`
 
   // Merge statistics.
   std::size_t total_mode_connections = 0;
@@ -225,12 +231,6 @@ struct FlowKeyHash {
 [[nodiscard]] FlowKey experiment_key(
     const std::vector<techmap::LutCircuit>& modes, const FlowOptions& options);
 
-/// The final-width MDR routings (problems + results), cached as one unit.
-struct MdrFinalRoutes {
-  std::vector<route::RouteProblem> problems;
-  std::vector<route::RouteResult> routings;
-};
-
 /// Memoizes flow artifacts (see the file comment for the determinism,
 /// ownership and thread-safety contracts). Every lookup bumps a
 /// `flowcache.<kind>_hits` / `flowcache.<kind>_misses` perf counter.
@@ -243,11 +243,12 @@ struct MdrFinalRoutes {
 /// failure modes degrade to misses; see core/artifact_store.h.
 class FlowCache {
  public:
+  FlowCache();
+
   /// Attaches (or, with nullptr, detaches) the persistence layer. Not
   /// thread-safe against concurrent lookups — attach before handing the
   /// cache to flow jobs. The store may be shared by several caches.
   void attach_store(std::shared_ptr<ArtifactStore> store);
-  [[nodiscard]] std::shared_ptr<ArtifactStore> store() const;
 
   std::shared_ptr<const MultiModeExperiment> find_experiment(
       const FlowKey& key);
@@ -270,22 +271,43 @@ class FlowCache {
   std::optional<bool> find_probe(const FlowKey& key);
   bool store_probe(const FlowKey& key, bool routable);
 
-  std::shared_ptr<const MdrFinalRoutes> find_mdr_routes(const FlowKey& key);
-  std::shared_ptr<const MdrFinalRoutes> store_mdr_routes(const FlowKey& key,
-                                                         MdrFinalRoutes routes);
+  /// The final-width MDR routings, one per mode.
+  std::shared_ptr<const std::vector<route::RouteResult>> find_mdr_routes(
+      const FlowKey& key);
+  std::shared_ptr<const std::vector<route::RouteResult>> store_mdr_routes(
+      const FlowKey& key, std::vector<route::RouteResult> routes);
 
   /// Total entries across all four maps.
   [[nodiscard]] std::size_t size() const;
   void clear();
 
  private:
+  /// One artifact kind: its memory entries (guarded by `mutex_`), its
+  /// `flowcache.<kind>_{hits,misses}` counters and its on-disk codec.
+  template <typename T>
+  struct Tier {
+    perf::Counter& hits;
+    perf::Counter& misses;
+    std::optional<T> (ArtifactStore::*load)(const FlowKey&) const;
+    bool (ArtifactStore::*save)(const FlowKey&, const T&);
+    std::unordered_map<FlowKey, std::shared_ptr<const T>, FlowKeyHash> entries;
+  };
+
+  /// Memory lookup, then disk read-through outside the lock; a loaded
+  /// entry is promoted. Null on a miss.
+  template <typename T>
+  std::shared_ptr<const T> find(Tier<T>& tier, const FlowKey& key);
+  /// Insert-if-absent without a disk write (first writer wins); returns
+  /// the canonical entry.
+  template <typename T>
+  std::shared_ptr<const T> promote(Tier<T>& tier, const FlowKey& key, T value);
+  /// `promote`, plus a write-behind to disk by the caller whose insert won.
+  template <typename T>
+  std::shared_ptr<const T> insert(Tier<T>& tier, const FlowKey& key, T value);
+
   mutable std::mutex mutex_;
-  std::unordered_map<FlowKey, std::shared_ptr<const MultiModeExperiment>,
-                     FlowKeyHash>
-      experiments_;
-  std::unordered_map<FlowKey, std::shared_ptr<const std::vector<ModeImpl>>,
-                     FlowKeyHash>
-      mdr_;
+  Tier<MultiModeExperiment> experiments_;
+  Tier<std::vector<ModeImpl>> mdr_;
   /// In-flight MDR computations (see mdr_or_compute): waiters share the
   /// computing caller's future instead of recomputing.
   std::unordered_map<
@@ -293,10 +315,8 @@ class FlowCache {
       std::shared_future<std::shared_ptr<const std::vector<ModeImpl>>>,
       FlowKeyHash>
       mdr_inflight_;
-  std::unordered_map<FlowKey, bool, FlowKeyHash> probes_;
-  std::unordered_map<FlowKey, std::shared_ptr<const MdrFinalRoutes>,
-                     FlowKeyHash>
-      mdr_routes_;
+  Tier<bool> probes_;
+  Tier<std::vector<route::RouteResult>> mdr_routes_;
   /// Optional on-disk second level (core/artifact_store.h); null = memory
   /// only, the pre-PR 5 behaviour.
   std::shared_ptr<ArtifactStore> store_;

@@ -20,7 +20,7 @@ ReconfigMetrics reconfig_metrics(const MultiModeExperiment& experiment,
   std::vector<bitstream::RoutingState> mdr_states;
   for (std::size_t m = 0; m < experiment.mdr_routing.size(); ++m) {
     auto states = experiment.mdr_routing[m].per_mode_states(
-        rrg, experiment.mdr_problems[m]);
+        rrg, experiment.mdr[m].route_spec.instantiate(rrg));
     MMFLOW_CHECK(states.size() == 1);
     mdr_states.push_back(std::move(states.front()));
   }
@@ -28,8 +28,8 @@ ReconfigMetrics reconfig_metrics(const MultiModeExperiment& experiment,
   out.diff_bits = out.lut_bits + out.diff_routing_bits;
 
   // DCS parameterized configuration.
-  const auto dcs_states =
-      experiment.dcs_routing.per_mode_states(rrg, experiment.dcs_problem);
+  const auto dcs_states = experiment.dcs_routing.per_mode_states(
+      rrg, experiment.dcs_route_spec.instantiate(rrg));
   out.dcs_param_routing_bits =
       exploit_dontcares
           ? model.parameterized_routing_bits_dontcare(dcs_states)
@@ -59,12 +59,14 @@ double WirelengthMetrics::max_ratio() const {
 
 WirelengthMetrics wirelength_metrics(const MultiModeExperiment& experiment) {
   const arch::RoutingGraph rrg(experiment.region);
+  const route::RouteProblem dcs_problem =
+      experiment.dcs_route_spec.instantiate(rrg);
   WirelengthMetrics out;
   for (std::size_t m = 0; m < experiment.mdr_routing.size(); ++m) {
     out.mdr.push_back(experiment.mdr_routing[m].wirelength_of_mode(
-        rrg, experiment.mdr_problems[m], 0));
+        rrg, experiment.mdr[m].route_spec.instantiate(rrg), 0));
     out.dcs.push_back(experiment.dcs_routing.wirelength_of_mode(
-        rrg, experiment.dcs_problem, static_cast<int>(m)));
+        rrg, dcs_problem, static_cast<int>(m)));
   }
   return out;
 }

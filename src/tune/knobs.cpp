@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace mmflow::tune {
 
@@ -141,24 +142,15 @@ std::vector<double> KnobSpace::baseline_values(
 }
 
 std::uint64_t KnobSpace::hash() const {
-  // FNV-1a over names and canonical range bits, like core::hash_flow_options.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  // Names as raw characters, then the canonical range bits.
+  hash::Fnv1a fnv;
   for (const Knob& knob : knobs_) {
-    for (const char c : knob.name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    mix(core::canonical_f64_bits(knob.lo));
-    mix(core::canonical_f64_bits(knob.hi));
-    mix(knob.log_scale ? 1 : 0);
+    fnv.bytes(knob.name);
+    fnv.u64(core::canonical_f64_bits(knob.lo));
+    fnv.u64(core::canonical_f64_bits(knob.hi));
+    fnv.u64(knob.log_scale ? 1 : 0);
   }
-  return h;
+  return fnv.h;
 }
 
 }  // namespace mmflow::tune

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/perf.h"
 #include "common/strings.h"
@@ -81,21 +82,11 @@ std::vector<int> nondominated_ranks(
   return rank;
 }
 
-/// FNV-1a accumulation helpers matching core::hash_flow_options's style.
-void mix_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-}
-
-void mix_str(std::uint64_t& h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= 0xff;  // terminator: {"ab","c"} and {"a","bc"} must differ
-  h *= 1099511628211ULL;
+/// Hashes a string followed by a 0xff terminator: {"ab","c"} and
+/// {"a","bc"} must differ.
+void mix_str(hash::Fnv1a& fnv, std::string_view s) {
+  fnv.bytes(s);
+  fnv.byte(0xff);
 }
 
 /// Per-rung counter, e.g. "tune.rung2.trials". Dynamic name, so it goes
@@ -157,22 +148,22 @@ ObjectiveSet ObjectiveSet::parse(std::string_view spec,
 
 std::uint64_t tune_config_hash(const TuneOptions& options,
                                const std::vector<TuneBenchmark>& benchmarks) {
-  std::uint64_t h = 1469598103934665603ULL;
-  mix_u64(h, options.seed);
-  mix_u64(h, static_cast<std::uint64_t>(options.budget));
+  hash::Fnv1a fnv;
+  fnv.u64(options.seed);
+  fnv.u64(static_cast<std::uint64_t>(options.budget));
   const ObjectiveSet objectives =
       options.objectives.names.empty() ? ObjectiveSet::defaults()
                                        : options.objectives;
-  for (const std::string& name : objectives.names) mix_str(h, name);
+  for (const std::string& name : objectives.names) mix_str(fnv, name);
   const KnobSpace& space =
       options.space.size() != 0 ? options.space : KnobSpace::defaults();
-  mix_u64(h, space.hash());
-  mix_u64(h, core::hash_flow_options(options.base));
+  fnv.u64(space.hash());
+  fnv.u64(core::hash_flow_options(options.base));
   for (const TuneBenchmark& bench : benchmarks) {
-    mix_str(h, bench.name);
-    mix_u64(h, core::hash_modes(*bench.modes));
+    mix_str(fnv, bench.name);
+    fnv.u64(core::hash_modes(*bench.modes));
   }
-  return h;
+  return fnv.h;
 }
 
 TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,

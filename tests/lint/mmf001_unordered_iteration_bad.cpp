@@ -9,10 +9,10 @@
 std::uint64_t hash_everything() {
   std::unordered_map<std::string, int> widths;
   widths.emplace("a", 1);
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = 0xcbf29ce484222325ull;  // expect-lint: MMF007
   for (const auto& [name, w] : widths) {  // expect-lint: MMF001
-    for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    h = (h ^ static_cast<std::uint64_t>(w)) * 0x100000001b3ull;
+    for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;  // expect-lint: MMF007
+    h = (h ^ static_cast<std::uint64_t>(w)) * 0x100000001b3ull;  // expect-lint: MMF007
   }
   return h;
 }

@@ -1,5 +1,6 @@
 // Fixture: MMF001 clean variants — sorted-copy iteration and justified
-// ordered-ok annotations (both placement styles). Must lint clean.
+// ordered-ok annotations (both placement styles). Must be MMF001-clean; the
+// inline FNV constants are MMF007 private-hasher findings.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -19,10 +20,10 @@ std::uint64_t hash_everything() {
   // mmflow-lint: ordered-ok(collects pairs only; the hash below consumes the sorted copy)
   for (const auto& entry : widths) sorted.push_back(entry);
   std::sort(sorted.begin(), sorted.end());
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = 0xcbf29ce484222325ull;  // expect-lint: MMF007
   for (const auto& [name, w] : sorted) {
-    for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    h = (h ^ static_cast<std::uint64_t>(w)) * 0x100000001b3ull;
+    for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;  // expect-lint: MMF007
+    h = (h ^ static_cast<std::uint64_t>(w)) * 0x100000001b3ull;  // expect-lint: MMF007
   }
   return h;
 }

@@ -95,15 +95,7 @@ FlowKey sample_key() {
   return key;
 }
 
-MdrFinalRoutes sample_routes() {
-  MdrFinalRoutes routes;
-  route::RouteProblem problem;
-  problem.num_modes = 1;
-  route::RouteNet net;
-  net.name = "n0";
-  net.source_node = 3;
-  net.conns.push_back(route::RouteConn{7, 1});
-  problem.nets.push_back(net);
+std::vector<route::RouteResult> sample_routes() {
   route::RouteResult result;
   result.success = true;
   result.iterations = 2;
@@ -114,9 +106,7 @@ MdrFinalRoutes sample_routes() {
   conn.nodes = {3, 5, 7};
   conn.edges = {1, 2};
   result.conns.push_back(conn);
-  routes.problems = {problem};
-  routes.routings = {result};
-  return routes;
+  return {result};
 }
 
 /// A pair of structurally similar small mode circuits (fast to place/route;
@@ -259,6 +249,69 @@ TEST(CanonicalHash, PinnedValuesForNormalInputs) {
   EXPECT_EQ(FlowKeyHash{}(sample_key()), 0x88fffb80f3863542ULL);
 }
 
+TEST(CanonicalHash, EveryFlowOptionsFieldIsClassified) {
+  // Binding every field by name stops compiling when FlowOptions,
+  // RouterOptions or AnnealOptions gains a field that is not classified
+  // below as hashed, key-side (its own FlowKey field) or execution-only.
+  // An unhashed result-changing knob would serve stale cache entries.
+  FlowOptions options;
+  auto& [cost_engine, seed, area_slack, width_slack, encoding, anneal, router,
+         max_channel_width, tplace_from_scratch, timing_tradeoff, route_jobs,
+         cancel] = options;
+  auto& [inner_num, init_t_factor, exit_t_fraction] = anneal;
+  auto& [max_iterations, split_conflicted_after, first_iter_pres_fac,
+         pres_fac_mult, max_pres_fac, hist_fac, share_discount, align_discount,
+         astar_fac, router_seed, router_jobs, router_cancel] = router;
+
+  const std::uint64_t base = hash_flow_options(options);
+  // Sets `field` to `value`, hashes, and restores the field.
+  const auto moves_hash = [&options, base](auto& field, auto value) {
+    const auto saved = field;
+    field = value;
+    const bool moved = hash_flow_options(options) != base;
+    field = saved;
+    return moved;
+  };
+
+  // Hashed: every knob that can change a result bit.
+  EXPECT_TRUE(moves_hash(area_slack, 1.5));
+  EXPECT_TRUE(moves_hash(width_slack, 1.5));
+  EXPECT_TRUE(moves_hash(encoding, bitstream::MuxEncoding::OneHot));
+  EXPECT_TRUE(moves_hash(inner_num, 3.0));
+  EXPECT_TRUE(moves_hash(init_t_factor, 7.0));
+  EXPECT_TRUE(moves_hash(exit_t_fraction, 0.01));
+  EXPECT_TRUE(moves_hash(max_iterations, 41));
+  EXPECT_TRUE(moves_hash(split_conflicted_after, 16));
+  EXPECT_TRUE(moves_hash(first_iter_pres_fac, 0.6));
+  EXPECT_TRUE(moves_hash(pres_fac_mult, 1.7));
+  EXPECT_TRUE(moves_hash(max_pres_fac, 1e5));
+  EXPECT_TRUE(moves_hash(hist_fac, 0.5));
+  EXPECT_TRUE(moves_hash(share_discount, 0.1));
+  EXPECT_TRUE(moves_hash(align_discount, 0.6));
+  EXPECT_TRUE(moves_hash(astar_fac, 1.3));
+  EXPECT_TRUE(moves_hash(router_seed, std::uint64_t{2}));
+  EXPECT_TRUE(moves_hash(max_channel_width, 64));
+  EXPECT_TRUE(moves_hash(tplace_from_scratch, false));
+
+  // Key-side: carried by FlowKey::seed / engine / variant instead.
+  EXPECT_FALSE(moves_hash(seed, std::uint64_t{2}));
+  EXPECT_FALSE(moves_hash(cost_engine, CombinedCost::EdgeMatch));
+  EXPECT_FALSE(moves_hash(timing_tradeoff, 0.5));
+
+  // Execution-only: never change a completed flow's bits.
+  const CancelToken token;
+  EXPECT_FALSE(moves_hash(route_jobs, 4));
+  EXPECT_FALSE(moves_hash(router_jobs, 4));
+  EXPECT_FALSE(moves_hash(cancel, &token));
+  EXPECT_FALSE(moves_hash(router_cancel, &token));
+}
+
+TEST(CanonicalHash, SchemaHashIsPinned) {
+  // Every entry header carries this hash; it moves only when a payload
+  // serializer (and kSchemaDescription with it) deliberately changes.
+  EXPECT_EQ(ArtifactStore::schema_hash(), 0x6ca48da616395abbULL);
+}
+
 // ---- entry-level failure paths ----------------------------------------------
 
 TEST(ArtifactStore, ProbeRoundtrip) {
@@ -289,11 +342,8 @@ TEST(ArtifactStore, MdrRoutesRoundtrip) {
   ASSERT_TRUE(store.save_mdr_routes(key, sample_routes()));
   const auto loaded = store.load_mdr_routes(key);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->problems.size(), 1u);
-  EXPECT_EQ(loaded->problems[0].nets[0].name, "n0");
-  EXPECT_EQ(loaded->problems[0].nets[0].source_node, 3u);
-  ASSERT_EQ(loaded->routings.size(), 1u);
-  expect_same_routing(loaded->routings[0], sample_routes().routings[0]);
+  ASSERT_EQ(loaded->size(), 1u);
+  expect_same_routing((*loaded)[0], sample_routes()[0]);
 }
 
 TEST(ArtifactStore, TruncatedEntryIsInvalidNotFatal) {
@@ -435,7 +485,7 @@ TEST(ArtifactStore, ConcurrentWritersToOneKeyLandWholeEntries) {
   // identical bytes) and no tmp files leak.
   const auto loaded = store.load_mdr_routes(key);
   ASSERT_TRUE(loaded.has_value());
-  expect_same_routing(loaded->routings[0], routes.routings[0]);
+  expect_same_routing((*loaded)[0], routes[0]);
   for (const auto& entry : fs::directory_iterator(dir.path / "routes")) {
     EXPECT_EQ(entry.path().extension(), ".bin")
         << "leftover tmp file " << entry.path();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/check.h"
+#include "common/perf.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -212,6 +215,27 @@ TEST(Strings, TryParseHexAcceptsBareHexOnly) {
   EXPECT_EQ(u32, 0xbeefu);
   EXPECT_FALSE(try_parse_hex_u32("100000000", &u32));  // 33 bits
   EXPECT_FALSE(try_parse_hex_u32("beefs", &u32));
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(perf::json_escaped("plain.name"), "plain.name");
+  EXPECT_EQ(perf::json_escaped("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(perf::json_escaped(std::string("t\tn\n\x01", 5)),
+            "t\\u0009n\\u000a\\u0001");
+}
+
+TEST(Json, NumbersRoundTripAndNonFiniteIsNull) {
+  // 6 significant digits would print 163.155 for both values.
+  const double a = 163.1551;
+  const double b = 163.15509999999875;
+  EXPECT_NE(perf::json_number(a), perf::json_number(b));
+  EXPECT_EQ(std::stod(perf::json_number(a)), a);
+  EXPECT_EQ(std::stod(perf::json_number(b)), b);
+  EXPECT_EQ(perf::json_number(42.0), "42");
+  EXPECT_EQ(perf::json_number(std::numeric_limits<double>::quiet_NaN()),
+            "null");
+  EXPECT_EQ(perf::json_number(-std::numeric_limits<double>::infinity()),
+            "null");
 }
 
 TEST(Check, ThrowsExpectedTypes) {

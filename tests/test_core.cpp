@@ -204,11 +204,12 @@ TEST(Flows, DcsSpecializationsRouteEveryActiveConnection) {
       run_experiment(modes, fast_options(CombinedCost::WireLength, 5));
 
   const arch::RoutingGraph rrg(exp.region);
+  const route::RouteProblem dcs_problem = exp.dcs_route_spec.instantiate(rrg);
   for (std::size_t c = 0; c < exp.dcs_routing.conns.size(); ++c) {
     const auto& rc = exp.dcs_routing.conns[c];
-    const auto& conn = exp.dcs_problem.nets[rc.net].conns[rc.conn];
+    const auto& conn = dcs_problem.nets[rc.net].conns[rc.conn];
     EXPECT_FALSE(rc.nodes.empty());
-    EXPECT_EQ(rc.nodes.front(), exp.dcs_problem.nets[rc.net].source_node);
+    EXPECT_EQ(rc.nodes.front(), dcs_problem.nets[rc.net].source_node);
     EXPECT_EQ(rc.nodes.back(), conn.sink_node);
   }
 }

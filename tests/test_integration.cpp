@@ -96,7 +96,8 @@ TEST(Integration, ModeSwitchWriteSchedule) {
 
   const arch::RoutingGraph rrg(exp.region);
   const bitstream::ConfigModel model(rrg, bitstream::MuxEncoding::Binary);
-  const auto states = exp.dcs_routing.per_mode_states(rrg, exp.dcs_problem);
+  const auto states = exp.dcs_routing.per_mode_states(
+      rrg, exp.dcs_route_spec.instantiate(rrg));
 
   const auto writes = model.mode_switch_writes(states, 0, 1);
   // Apply the schedule to mode 0's state; every mux mode 1 uses must then

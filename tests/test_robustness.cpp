@@ -197,6 +197,21 @@ TEST(Faults, ProbabilityFormIsDeterministic) {
   EXPECT_EQ(std::count(always.begin(), always.end(), true), 10);
 }
 
+TEST(Faults, ProbabilityCoinsArePinned) {
+  // Golden fire/no-fire sequence of the first 64 hits of `site~0.25/7`
+  // (bit i = hit i+1 fired). The coin is a pure function of (seed, site,
+  // hit index), so a chaos spec replays the same faults on every machine;
+  // a drift in the hash behind it would silently change which faults fire.
+  FaultsGuard guard;
+  faults::install("site~0.25/7");
+  const auto fired = fire_pattern("site", 64);
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    if (fired[i]) mask |= std::uint64_t{1} << i;
+  }
+  EXPECT_EQ(mask, 0x10060c1403008191ULL);  // 14 of 64 fired
+}
+
 TEST(Faults, MultiTermSpecsAndClear) {
   FaultsGuard guard;
   faults::install(" a@1 , b~0.5/9 ");

@@ -316,6 +316,12 @@ TEST(KnobSpace, HashCoversNamesRangesAndScale) {
   EXPECT_EQ(a.hash(), tune::KnobSpace::from_spec("inner_num=2:20", "t").hash());
 }
 
+TEST(KnobSpace, DefaultSpaceHashIsPinned) {
+  // Golden value: the trial ledger's configuration guard folds this hash
+  // in, so a drift would make every existing ledger read as foreign.
+  EXPECT_EQ(tune::KnobSpace::defaults().hash(), 0x4f09dbb103f1387bULL);
+}
+
 TEST(Objectives, ParseValidatesNamesAndWalltime) {
   const auto set = tune::ObjectiveSet::parse("frames,wirelength", "--tune-objectives");
   ASSERT_EQ(set.size(), 2u);
@@ -451,6 +457,13 @@ TEST(Tuner, ScheduleAndFrontAreJobsInvariant) {
     EXPECT_FALSE(tune::dominates(sequential.baseline.objectives,
                                  point.objectives));
   }
+}
+
+TEST(Tuner, ConfigHashIsPinned) {
+  // Golden value for one fixed configuration: a ledger written under it
+  // must keep replaying after any refactor of the hashing code.
+  EXPECT_EQ(tune::tune_config_hash(fast_tune_options(), tiny_benchmarks(41)),
+            0xd5179d1826b0d267ULL);
 }
 
 TEST(Tuner, ResumeAfterKillMatchesUninterruptedRunBitIdentically) {

@@ -47,6 +47,13 @@ do:
                                annotation would silently fail to
                                suppress (or silently rot); annotations
                                must be `ordered-ok(<non-empty reason>)`.
+  MMF007 private-hasher        Every stable hash (cache keys, schema hash,
+                               payload checksums, ledger guards, fault
+                               coins) goes through the one FNV-1a hasher
+                               in src/common/hash.h. An FNV prime or
+                               offset-basis literal anywhere else is a
+                               private copy that can drift from it and
+                               silently orphan pinned hashes.
 
 Usage:
   tools/mmflow_lint.py PATH [PATH ...]     lint files / directory trees
@@ -79,6 +86,7 @@ RULES = {
     "MMF004": "raw-assert",
     "MMF005": "perf-name-grammar",
     "MMF006": "bad-annotation",
+    "MMF007": "private-hasher",
 }
 
 # First segment of every registered perf counter/timer name. Adding a new
@@ -132,6 +140,16 @@ PERF_CALL_RE = re.compile(
     r"(?:::\s*)?(?:mmflow\s*::\s*)?perf\s*::\s*"
     r"(?:counter|timer|counter_value))\s*\(\s*"
 )
+
+# FNV-1a 64-bit prime and offset basis, in decimal and hex, including the
+# truncated basis 1469598103934665603 the project's hashes are built on.
+FNV_LITERAL_RE = re.compile(
+    r"(?<![\w.])(1099511628211|0x0*100000001b3|14695981039346656037|"
+    r"1469598103934665603|0xcbf29ce484222325)(?:[uUlL]*)(?![\w.])",
+    re.IGNORECASE,
+)
+# The one file allowed to spell the FNV constants.
+HASHER_PATH = os.path.join("src", "common", "hash.h")
 
 IDENT = r"[A-Za-z_]\w*"
 
@@ -520,6 +538,24 @@ def check_perf_names(path: str, original: str, code: str,
 
 
 # ---------------------------------------------------------------------------
+# MMF007: FNV constants outside the shared hasher
+# ---------------------------------------------------------------------------
+
+
+def check_private_hasher(path: str, code: str, line_starts: list[int],
+                         diagnostics: list[Diagnostic]) -> None:
+    if os.path.normpath(os.path.abspath(path)).endswith(
+            os.sep + HASHER_PATH):
+        return
+    for m in FNV_LITERAL_RE.finditer(code):
+        diagnostics.append(Diagnostic(
+            path, line_of(m.start(), line_starts), "MMF007",
+            f"FNV constant `{m.group(1)}` outside src/common/hash.h is a "
+            "private hasher; compose mmflow::hash::Fnv1a instead so every "
+            "pinned hash keeps one implementation"))
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -542,6 +578,7 @@ def lint_file(path: str) -> list[Diagnostic]:
                               diagnostics)
     check_banned_calls(path, code, line_starts, diagnostics)
     check_perf_names(path, original, code, line_starts, diagnostics)
+    check_private_hasher(path, code, line_starts, diagnostics)
     return diagnostics
 
 

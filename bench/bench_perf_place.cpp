@@ -33,7 +33,10 @@ techmap::LutCircuit random_mode(int gates, std::uint64_t seed) {
   return techmap::map_to_luts(aig::aig_from_netlist(nl));
 }
 
-void combined_place_case(bench::PerfBench& harness, int num_modes, int reps) {
+/// Combined placement of `num_modes` 150-gate modes. The WireLength cases
+/// keep their original names; EdgeMatch cases carry an `engine=` segment.
+void combined_place_case(bench::PerfBench& harness, core::CombinedCost engine,
+                         int num_modes, int reps) {
   std::vector<techmap::LutCircuit> modes;
   for (int m = 0; m < num_modes; ++m) {
     modes.push_back(random_mode(150, static_cast<std::uint64_t>(m + 1)));
@@ -47,11 +50,15 @@ void combined_place_case(bench::PerfBench& harness, int num_modes, int reps) {
   }
   const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.3));
   core::CombinedPlaceOptions options;
+  options.cost = engine;
   options.anneal.inner_num = 3.0;
   options.seed = 1;
+  const std::string engine_segment =
+      engine == core::CombinedCost::EdgeMatch ? "engine=edgematch/" : "";
   harness.run_case(
-      "combined_place/modes=" + std::to_string(num_modes) + "/gates=150", reps,
-      [&] {
+      "combined_place/" + engine_segment + "modes=" +
+          std::to_string(num_modes) + "/gates=150",
+      reps, [&] {
         core::CombinedPlaceStats stats;
         const auto result = core::combined_place(modes, grid, options, &stats);
         (void)result;
@@ -93,10 +100,13 @@ int main() {
   place_case(harness, 150, 3);
   place_case(harness, 400, 2);
 
-  combined_place_case(harness, 2, 2);
-  // The four-mode transceiver regime: per-move cost scans scale with the
-  // mode count, so this is where a naive occupancy representation hurts.
-  combined_place_case(harness, 4, 2);
+  for (const auto engine :
+       {core::CombinedCost::WireLength, core::CombinedCost::EdgeMatch}) {
+    combined_place_case(harness, engine, 2, 2);
+    // The four-mode transceiver regime: per-move cost scans scale with the
+    // mode count, so this is where a naive occupancy representation hurts.
+    combined_place_case(harness, engine, 4, 2);
+  }
 
   return harness.finish();
 }

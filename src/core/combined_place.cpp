@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "common/log.h"
 #include "common/perf.h"
@@ -41,6 +42,64 @@ class SiteKeys {
 
  private:
   const DeviceGrid& grid_;
+};
+
+/// Open-addressing table from a connection key (source site key, sink site
+/// key) to the mask of modes with a connection there. Linear probing over a
+/// power-of-two slot array sized once, at construction, to at least twice
+/// the most entries it will ever hold. A slot is empty iff its mask is 0,
+/// and erasure shifts the rest of the probe run back instead of leaving a
+/// tombstone, so the table never rehashes or allocates after construction.
+class PairTable {
+ public:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t modes = 0;  ///< 0 = empty slot
+  };
+
+  explicit PairTable(std::size_t max_entries = 0)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * max_entries, 16))),
+        mask_(slots_.size() - 1),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t probe(std::uint64_t key) const {
+    std::size_t i = home(key);
+    while (slots_[i].modes != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+    return i;
+  }
+  /// Mode mask stored under `key` (0 when absent).
+  [[nodiscard]] std::uint32_t modes(std::uint64_t key) const {
+    return slots_[probe(key)].modes;
+  }
+  Slot& operator[](std::size_t slot) { return slots_[slot]; }
+
+  /// Empties `slot` and moves later entries of its probe run back, so every
+  /// remaining key stays reachable from its home slot.
+  void erase(std::size_t slot) {
+    std::size_t hole = slot;
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].modes != 0;
+         j = (j + 1) & mask_) {
+      // The entry at j stays put iff its home lies cyclically in (hole, j].
+      const std::size_t h = home(slots_[j].key);
+      const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+      if (!stays) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].modes = 0;
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of key * 2^64/phi.
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_;
+  int shift_;
 };
 
 /// Shared multi-mode placement state plus cost-engine bookkeeping.
@@ -124,10 +183,12 @@ class CombinedSa {
   void flush_perf() {
     MMFLOW_PERF_ADD("combined_place.moves_proposed", moves_proposed_);
     MMFLOW_PERF_ADD("combined_place.moves_accepted", moves_accepted_);
+    MMFLOW_PERF_ADD("combined_place.pair_updates", pair_updates_);
     MMFLOW_PERF_ADD("combined_place.site_evals", site_evals_);
     MMFLOW_PERF_ADD("combined_place.timing_epochs", timing_epochs_);
     moves_proposed_ = 0;
     moves_accepted_ = 0;
+    pair_updates_ = 0;
     site_evals_ = 0;
     timing_epochs_ = 0;
   }
@@ -202,29 +263,39 @@ class CombinedSa {
     const std::int32_t b2 = occ_[static_cast<std::size_t>(mode)][static_cast<std::size_t>(k2)];
     if (b1 < 0 && b2 < 0) return false;
 
-    const double before = affected_cost_before(mode, b1, b2, k1, k2);
-    const double t_before = timing_cost_before(mode, b1, b2);
-    apply_swap(mode, b1, b2, k1, k2, s1, s2);
-    const double after = affected_cost_after();
-    const double t_after = timing_cost_after(mode);
-    const double delta = timing_enabled()
-                             ? obj_.delta(after - before, t_after - t_before)
-                             : after - before;
+    // EdgeMatch evaluates the swap by table lookups and leaves the state
+    // untouched; WireLength applies it and undoes it on rejection.
+    double delta = 0.0;
+    double wl_delta = 0.0;
+    double t_delta = 0.0;
+    std::int64_t match_delta = 0;
+    if (cost_kind_ == CombinedCost::EdgeMatch) {
+      collect_moved_connections(mode, b1, b2);
+      match_delta = moved_match_delta(mode, b1, b2, k1, k2);
+      delta = static_cast<double>(-match_delta);
+    } else {
+      const double before = affected_cost_before(mode, b1, b2, k1, k2);
+      const double t_before = timing_cost_before(mode, b1, b2);
+      apply_swap(mode, b1, b2, k1, k2, s1, s2);
+      wl_delta = affected_cost_after() - before;
+      t_delta = timing_cost_after(mode) - t_before;
+      delta = timing_enabled() ? obj_.delta(wl_delta, t_delta) : wl_delta;
+    }
 
     const bool accept =
         delta <= 0.0 ||
         (temperature > 0.0 && rng_.next_double() < std::exp(-delta / temperature));
     if (accept) {
       ++moves_accepted_;
-      commit_affected();
-      commit_timing(mode, after - before, t_after - t_before);
+      if (cost_kind_ == CombinedCost::EdgeMatch) {
+        commit_matches(mode, b1, b2, k1, k2, s1, s2, match_delta);
+      } else {
+        commit_affected();
+        commit_timing(mode, wl_delta, t_delta);
+      }
       cost_ += delta;
-    } else {
-      // EdgeMatch bookkeeping must be unwound at the *new* positions before
-      // the swap itself is undone.
-      rollback_before_undo();
+    } else if (cost_kind_ == CombinedCost::WireLength) {
       apply_swap(mode, b2, b1, k1, k2, s1, s2);  // swap back (reversed)
-      rollback_after_undo();
     }
     if (delta_out != nullptr) *delta_out = delta;
     return accept;
@@ -402,9 +473,20 @@ class CombinedSa {
   }
 
   // ---- EdgeMatch engine --------------------------------------------------------
+  //
+  // A swap of one mode's occupants changes the key of exactly the
+  // connections touching the swapped blocks. Each block drives at most one
+  // net and nets carry no self-loops, so those are all sink connections of
+  // the net a block drives plus the one driver->block connection of each
+  // net it sinks.
 
   void build_match_table() {
-    match_table_.clear();
+    std::size_t connections = 0;
+    for (const auto& nl : netlists_) {
+      for (const auto& net : nl.nets()) connections += net.sinks.size();
+    }
+    match_table_ = PairTable(connections);
+    moved_.reserve(connections);  // a swap moves each connection at most once
     matches_ = 0;
     for (std::size_t m = 0; m < netlists_.size(); ++m) {
       for (const auto& net : netlists_[m].nets()) {
@@ -422,72 +504,104 @@ class CombinedSa {
   }
 
   void add_pair(int src, int sink, int mode) {
-    ModeSetLocal& mask = match_table_[pair_key(src, sink)];
-    MMFLOW_CHECK_MSG(!((mask >> mode) & 1), "duplicate connection pair");
-    if (mask != 0) ++matches_;
-    mask |= ModeSetLocal{1} << mode;
+    ++pair_updates_;
+    const std::uint64_t key = pair_key(src, sink);
+    PairTable::Slot& slot = match_table_[match_table_.probe(key)];
+    MMFLOW_CHECK_MSG(!((slot.modes >> mode) & 1), "duplicate connection pair");
+    if (slot.modes != 0) ++matches_;
+    slot.key = key;
+    slot.modes |= ModeSetLocal{1} << mode;
   }
 
   void remove_pair(int src, int sink, int mode) {
-    const auto it = match_table_.find(pair_key(src, sink));
-    MMFLOW_CHECK(it != match_table_.end());
-    MMFLOW_CHECK((it->second >> mode) & 1);
-    it->second &= ~(ModeSetLocal{1} << mode);
-    if (it->second != 0) {
+    ++pair_updates_;
+    const std::size_t i = match_table_.probe(pair_key(src, sink));
+    PairTable::Slot& slot = match_table_[i];
+    MMFLOW_CHECK((slot.modes >> mode) & 1);  // an absent key has mask 0
+    slot.modes &= ~(ModeSetLocal{1} << mode);
+    if (slot.modes != 0) {
       --matches_;
     } else {
-      match_table_.erase(it);
+      match_table_.erase(i);
     }
   }
 
-  /// Adds/removes every connection pair of the given nets at the *current*
-  /// block positions. Whole-net granularity keeps updates symmetric even
-  /// when both swapped blocks touch the same net.
-  void update_pairs_for_nets(int mode, const std::vector<std::uint32_t>& nets,
-                             bool add) {
-    const auto mi = static_cast<std::size_t>(mode);
-    for (const auto n : nets) {
-      const auto& net = netlists_[mode].nets()[n];
-      const int src = block_key_[mi][net.driver];
-      for (const auto sink : net.sinks) {
-        const int sk = block_key_[mi][sink];
-        add ? add_pair(src, sk, mode) : remove_pair(src, sk, mode);
+  /// Collects the (driver, sink) block pairs of the connections the swap of
+  /// b1 and b2 moves (either may be -1) into `moved_`. A connection between
+  /// b1 and b2 is collected once, from b1's side.
+  void collect_moved_connections(int mode, std::int32_t b1, std::int32_t b2) {
+    const auto& nl = netlists_[static_cast<std::size_t>(mode)];
+    moved_.clear();
+    for (const std::int32_t b : {b1, b2}) {
+      if (b < 0) continue;
+      const auto block = static_cast<std::uint32_t>(b);
+      const std::int32_t skip = b == b2 ? b1 : -1;
+      auto [begin, end] = nl.nets_of_block(block);
+      for (const auto* it = begin; it != end; ++it) {
+        const auto& net = nl.nets()[*it];
+        if (net.driver == block) {
+          for (const auto sink : net.sinks) {
+            if (static_cast<std::int32_t>(sink) != skip) {
+              moved_.emplace_back(block, sink);
+            }
+          }
+        } else if (static_cast<std::int32_t>(net.driver) != skip) {
+          moved_.emplace_back(net.driver, block);
+        }
       }
     }
   }
 
-  /// Deduplicated nets touching either block (either may be -1).
-  [[nodiscard]] std::vector<std::uint32_t> nets_of_blocks(int mode,
-                                                          std::int32_t b1,
-                                                          std::int32_t b2) const {
-    std::vector<std::uint32_t> nets;
-    for (const std::int32_t b : {b1, b2}) {
-      if (b < 0) continue;
-      auto [begin, end] =
-          netlists_[mode].nets_of_block(static_cast<std::uint32_t>(b));
-      nets.insert(nets.end(), begin, end);
+  /// Change of matches_ if the swap were applied, by lookups only. A mode's
+  /// placement is injective, so a moved connection's new key can carry the
+  /// mode's own bit only from a connection the swap moves away: every key
+  /// gains or loses a match iff some *other* mode holds it.
+  [[nodiscard]] std::int64_t moved_match_delta(int mode, std::int32_t b1,
+                                               std::int32_t b2, int k1,
+                                               int k2) const {
+    const auto& keys = block_key_[static_cast<std::size_t>(mode)];
+    const ModeSetLocal others = ~(ModeSetLocal{1} << mode);
+    auto key_after = [&](std::uint32_t b) {
+      const auto sb = static_cast<std::int32_t>(b);
+      return sb == b1 ? k2 : sb == b2 ? k1 : keys[b];
+    };
+    std::int64_t delta = 0;
+    for (const auto& [driver, sink] : moved_) {
+      if ((match_table_.modes(pair_key(key_after(driver), key_after(sink))) &
+           others) != 0) {
+        ++delta;
+      }
+      if ((match_table_.modes(pair_key(keys[driver], keys[sink])) & others) !=
+          0) {
+        --delta;
+      }
     }
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    return nets;
+    return delta;
   }
 
-  // ---- incremental delta plumbing ------------------------------------------------
+  /// Accepted EdgeMatch move: re-keys the moved connections around the swap
+  /// and checks the table agrees with the predicted delta.
+  void commit_matches(int mode, std::int32_t b1, std::int32_t b2, int k1,
+                      int k2, const Site& s1, const Site& s2,
+                      std::int64_t match_delta) {
+    const auto& keys = block_key_[static_cast<std::size_t>(mode)];
+    const std::int64_t expected = matches_ + match_delta;
+    for (const auto& [driver, sink] : moved_) {
+      remove_pair(keys[driver], keys[sink], mode);
+    }
+    apply_swap(mode, b1, b2, k1, k2, s1, s2);
+    for (const auto& [driver, sink] : moved_) {
+      add_pair(keys[driver], keys[sink], mode);
+    }
+    MMFLOW_CHECK(matches_ == expected);
+  }
+
+  // ---- WireLength delta plumbing -------------------------------------------------
 
   /// Cost of everything the pending swap can affect, computed *before* the
   /// swap is applied; stashes the affected-site list for the after pass.
   double affected_cost_before(int mode, std::int32_t b1, std::int32_t b2,
                               int k1, int k2) {
-    if (cost_kind_ == CombinedCost::EdgeMatch) {
-      // Remove the affected nets' pairs now (positions still old); the
-      // matches_ counter absorbs the delta incrementally.
-      matches_backup_ = matches_;
-      pending_mode_ = mode;
-      pending_nets_ = nets_of_blocks(mode, b1, b2);
-      update_pairs_for_nets(mode, pending_nets_, /*add=*/false);
-      return -static_cast<double>(matches_backup_);
-    }
-
     affected_sites_.clear();
     const std::uint64_t epoch = ++site_epoch_counter_;
     auto add_site = [this, epoch](int key) {
@@ -516,10 +630,6 @@ class CombinedSa {
 
   /// Cost of the affected region *after* the swap has been applied.
   double affected_cost_after() {
-    if (cost_kind_ == CombinedCost::EdgeMatch) {
-      update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/true);
-      return -static_cast<double>(matches_);
-    }
     new_site_cost_.clear();
     double after = 0.0;
     for (const int key : affected_sites_) {
@@ -531,25 +641,10 @@ class CombinedSa {
   }
 
   void commit_affected() {
-    if (cost_kind_ == CombinedCost::EdgeMatch) return;  // already applied
     for (std::size_t i = 0; i < affected_sites_.size(); ++i) {
       site_cost_[static_cast<std::size_t>(affected_sites_[i])] =
           new_site_cost_[i];
     }
-  }
-
-  /// Rejection path, phase 1: remove pairs added at the *new* positions
-  /// (must run before the swap is undone).
-  void rollback_before_undo() {
-    if (cost_kind_ != CombinedCost::EdgeMatch) return;
-    update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/false);
-  }
-
-  /// Rejection path, phase 2: re-add pairs at the restored old positions.
-  void rollback_after_undo() {
-    if (cost_kind_ != CombinedCost::EdgeMatch) return;
-    update_pairs_for_nets(pending_mode_, pending_nets_, /*add=*/true);
-    MMFLOW_CHECK(matches_ == matches_backup_);
   }
 
   const std::vector<PlaceNetlist>& netlists_;
@@ -593,11 +688,11 @@ class CombinedSa {
   std::vector<double> pending_tcost_;
 
   // EdgeMatch engine state.
-  std::unordered_map<std::uint64_t, ModeSetLocal> match_table_;
+  PairTable match_table_;
   std::int64_t matches_ = 0;
-  std::int64_t matches_backup_ = 0;
-  int pending_mode_ = 0;
-  std::vector<std::uint32_t> pending_nets_;
+  /// (driver, sink) blocks of the pending swap's moved connections.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> moved_;
+  std::uint64_t pair_updates_ = 0;  ///< match-table inserts and erases
 };
 
 }  // namespace

@@ -18,7 +18,13 @@
 ///  * EdgeMatch (prior art, Rullmann & Merker): maximize the number of
 ///    connections sharing source and sink sites across modes
 ///    (equivalently: minimize the number of Tunable connections);
-///    placement geometry is ignored.
+///    placement geometry is ignored. The match count is kept in a flat
+///    open-addressing (source site, sink site) → mode-mask table sized once
+///    per call. A move collects only the connections touching the swapped
+///    blocks, prices the swap by table lookups alone, and mutates the table
+///    only when the move is accepted — no allocation per move, and the
+///    integer delta keeps every placement bit-identical per seed
+///    (docs/ARCHITECTURE.md, "EdgeMatch bookkeeping").
 ///
 /// Re-entrancy: `combined_place` and `extract_merge` keep all annealing and
 /// extraction state in per-call locals and never mutate their inputs, so

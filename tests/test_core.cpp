@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/bridge.h"
+#include "common/perf.h"
 #include "core/combined_place.h"
 #include "core/flows.h"
 #include "core/metrics.h"
@@ -124,6 +125,102 @@ TEST(CombinedPlace, EdgeMatchBeatsRandomOnMatches) {
 
   EXPECT_GT(matched_connections(optimized, grid),
             matched_connections(random_cp, grid));
+}
+
+/// A chain of registered LUTs: each stage reads the previous stage's
+/// flip-flop and the shared input `b`, so adjacent LUT blocks drive each
+/// other and every stage also sinks the same net.
+techmap::LutCircuit registered_chain(int stages, std::uint64_t seed) {
+  Rng rng(seed);
+  netlist::Netlist nl("chain" + std::to_string(seed));
+  const auto a = nl.add_input("a");
+  const auto b = nl.add_input("b");
+  auto cur = nl.add_xor(a, b);
+  for (int i = 0; i < stages; ++i) {
+    const auto q = nl.add_latch(cur, false, "q" + std::to_string(i));
+    cur = rng.next_bool(0.5) ? nl.add_xor(q, b) : nl.add_and(q, b);
+  }
+  nl.add_output("o", cur);
+  return techmap::map_to_luts(aig::aig_from_netlist(nl));
+}
+
+/// `count` modes of different sizes: alternating random similar-pair modes
+/// and registered chains.
+std::vector<techmap::LutCircuit> mixed_modes(int count) {
+  std::vector<techmap::LutCircuit> modes;
+  for (int i = 0; i < count; ++i) {
+    const auto seed = static_cast<std::uint64_t>(50 + i);
+    modes.push_back(i % 2 == 0 ? similar_mode_pair(30 + 10 * i, seed)[0]
+                               : registered_chain(12 + 4 * i, seed));
+  }
+  return modes;
+}
+
+arch::DeviceGrid grid_for(const std::vector<techmap::LutCircuit>& modes) {
+  std::size_t max_blocks = 0;
+  for (const auto& m : modes) max_blocks = std::max(max_blocks, m.num_blocks());
+  return arch::DeviceGrid(
+      arch::size_device(static_cast<int>(max_blocks), 20, 1.3));
+}
+
+TEST(CombinedPlace, EdgeMatchIncrementalCountEqualsOracle) {
+  // The annealer keeps its match count incrementally; matched_connections
+  // recounts it from scratch with its own table. They must agree exactly.
+  for (const int num_modes : {2, 3, 4}) {
+    const auto modes = mixed_modes(num_modes);
+    const arch::DeviceGrid grid = grid_for(modes);
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      CombinedPlaceOptions options;
+      options.cost = CombinedCost::EdgeMatch;
+      options.seed = seed;
+      options.anneal.inner_num = 1.0;
+      CombinedPlaceStats stats;
+      const CombinedPlacement cp = combined_place(modes, grid, options, &stats);
+      const auto oracle =
+          static_cast<std::int64_t>(matched_connections(cp, grid));
+      EXPECT_EQ(static_cast<std::int64_t>(stats.final_cost), -oracle)
+          << num_modes << " modes, seed " << seed;
+      EXPECT_EQ(stats.final_cost, -static_cast<double>(oracle));
+      EXPECT_GT(oracle, 0);
+    }
+  }
+}
+
+TEST(CombinedPlace, EdgeMatchTightChainsEqualOracle) {
+  // Two chains on a device with no spare CLB sites: most swaps exchange two
+  // blocks that drive each other or read the same net.
+  const std::vector<techmap::LutCircuit> modes{registered_chain(20, 7),
+                                               registered_chain(20, 8)};
+  const arch::DeviceGrid grid(arch::size_device(
+      static_cast<int>(std::max(modes[0].num_blocks(), modes[1].num_blocks())),
+      3, 1.0));
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    CombinedPlaceOptions options;
+    options.cost = CombinedCost::EdgeMatch;
+    options.seed = seed;
+    CombinedPlaceStats stats;
+    const CombinedPlacement cp = combined_place(modes, grid, options, &stats);
+    EXPECT_EQ(stats.final_cost,
+              -static_cast<double>(matched_connections(cp, grid)))
+        << "seed " << seed;
+  }
+}
+
+TEST(CombinedPlace, EdgeMatchPairUpdatesDeterministic) {
+  const auto modes = mixed_modes(3);
+  const arch::DeviceGrid grid = grid_for(modes);
+  CombinedPlaceOptions options;
+  options.cost = CombinedCost::EdgeMatch;
+  options.seed = 5;
+  options.anneal.inner_num = 1.0;
+  std::uint64_t updates[2] = {};
+  for (auto& u : updates) {
+    const auto before = perf::counter_value("combined_place.pair_updates");
+    (void)combined_place(modes, grid, options);
+    u = perf::counter_value("combined_place.pair_updates") - before;
+  }
+  EXPECT_GT(updates[0], 0u);
+  EXPECT_EQ(updates[0], updates[1]);
 }
 
 TEST(ExtractMerge, CoLocationDefinesTluts) {

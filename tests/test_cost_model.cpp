@@ -121,9 +121,8 @@ TEST(CostModelGolden, ConventionalPlacerMappedBitIdentical) {
             4627499845568945998ULL);
 }
 
-TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
-  const std::vector<techmap::LutCircuit> modes{chainy_mode(12, 3),
-                                               chainy_mode(12, 4)};
+/// A device fitting the largest mode: smaller modes leave sites empty.
+arch::DeviceGrid grid_for_modes(const std::vector<techmap::LutCircuit>& modes) {
   int max_clbs = 0;
   int max_ios = 0;
   for (const auto& m : modes) {
@@ -131,7 +130,13 @@ TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
     max_ios =
         std::max<int>(max_ios, static_cast<int>(m.num_pis() + m.num_pos()));
   }
-  const arch::DeviceGrid grid(arch::size_device(max_clbs, max_ios, 1.4));
+  return arch::DeviceGrid(arch::size_device(max_clbs, max_ios, 1.4));
+}
+
+TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
+  const std::vector<techmap::LutCircuit> modes{chainy_mode(12, 3),
+                                               chainy_mode(12, 4)};
+  const arch::DeviceGrid grid = grid_for_modes(modes);
 
   struct Golden {
     core::CombinedCost cost;
@@ -156,6 +161,27 @@ TEST(CostModelGolden, CombinedPlacementBothEnginesBitIdentical) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.final_cost),
               golden.final_cost);
   }
+}
+
+TEST(CostModelGolden, CombinedPlacementEdgeMatchThreeModesBitIdentical) {
+  // Three modes of different sizes, so some sites are empty in one mode,
+  // with pads and direct LUT->LUT chains, so swapped blocks may drive each
+  // other or read the same net.
+  const std::vector<techmap::LutCircuit> modes{
+      chainy_mode(48, 5), chainy_mode(27, 6), chainy_mode(70, 7)};
+  ASSERT_NE(modes[0].num_blocks(), modes[1].num_blocks());
+  ASSERT_NE(modes[1].num_blocks(), modes[2].num_blocks());
+  const arch::DeviceGrid grid = grid_for_modes(modes);
+  core::CombinedPlaceOptions options;
+  options.cost = core::CombinedCost::EdgeMatch;
+  options.seed = 13;
+  core::CombinedPlaceStats stats;
+  const auto combined = core::combined_place(modes, grid, options, &stats);
+  Fnv f;
+  for (const auto& p : combined.placements) f.u64(hash_placement(p));
+  EXPECT_EQ(f.h, 5502991572277996470ULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.final_cost),
+            13854761303651909632ULL);
 }
 
 TEST(CostModelGolden, FlowOptionsHashStableAcrossTradeoffs) {

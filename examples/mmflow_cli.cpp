@@ -262,7 +262,7 @@ int run_suites(const std::vector<std::string>& suite_names,
       const auto experiment =
           core::run_experiment(bench.modes, options, context);
       const auto metrics =
-          core::reconfig_metrics(experiment, options.encoding);
+          core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
       std::printf("%s: W=%d, DCS %llu bits (%.2fx faster reconfiguration)\n",
                   label.c_str(), experiment.region.channel_width,
                   static_cast<unsigned long long>(metrics.dcs_bits),
@@ -321,8 +321,8 @@ int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
                    result.error.c_str());
       continue;
     }
-    const auto metrics =
-        core::reconfig_metrics(*result.experiment, options.encoding);
+    const auto metrics = core::reconfig_metrics(
+        *result.experiment, bitstream::MuxEncoding::Binary);
     const auto wl = core::wirelength_metrics(*result.experiment);
     const auto timing = core::timing_report(*result.experiment, modes);
     std::printf(
@@ -762,7 +762,7 @@ int main(int argc, char** argv) {
     }
     const auto experiment = core::run_experiment(modes, options, context);
     const auto metrics =
-        core::reconfig_metrics(experiment, options.encoding);
+        core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
     const auto wl = core::wirelength_metrics(experiment);
     const auto timing = core::timing_report(experiment, modes);
 

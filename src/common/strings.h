@@ -73,9 +73,9 @@ namespace mmflow {
 // range is written `name=lo:hi[:log]`, e.g. `inner_num=2:20:log` or
 // `timing_tradeoff=0:1`, and a whole space is a comma-separated list of
 // such terms. The grammar lives here next to the other checked knob
-// parsers so every surface (CLI flag, MMFLOW_TUNE_KNOBS, tests) rejects
-// malformed specs identically — and, like the PR 5 parsers, every error
-// names the offending knob instead of silently degrading.
+// parsers so every surface (CLI flag, tests) rejects malformed specs
+// identically — and, like the PR 5 parsers, every error names the offending
+// knob instead of silently degrading.
 
 /// One parsed `name=lo:hi[:log]` term. Bounds are inclusive; `log_scale`
 /// means samples are spaced uniformly in log(value) (requires lo > 0).

@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "common/faults.h"
 #include "common/hash.h"
 #include "common/log.h"
@@ -36,23 +37,19 @@ constexpr const char* kKindDir[] = {nullptr, "experiments", "mdr", "probes",
 /// the schema hash in every entry header, so stale on-disk formats
 /// invalidate cleanly instead of deserializing garbage.
 constexpr char kSchemaDescription[] =
-    "mmflow-artifact-store v2:"
+    "mmflow-artifact-store v3:"
     "site{u8 type,i16 x,i16 y,i16 sub};"
     "arch{i32 nx,i32 ny,i32 w,i32 k,i32 iocap,u8 sbox};"
     "placement{arch,u64 n,site[n]};"
-    "placenetlist{blocks[u8 type,str,u8 reg],nets[u32 drv,u32[] sinks,f64 w]};"
-    "mapping{u32 luts,u32 pi,u32 po};"
-    "sitespec{i32 modes,nets[str,site src,conns[site,u32 mask]]};"
     "routeresult{u8 ok,i32 iters,conns[u32 net,u32 conn,u32 mask,"
     "u32[] nodes,u32[] edges]};"
     "lutcircuit{i32 k,str,str[] pis,blocks[str,refs[u8,u32],u64 truth,"
     "u8 ff,u8 init],pos[str,u8,u32]};"
     "merge{u32[][] l2t,u32[][] pi2t,u32[][] po2t,u32 ntlut,u32 ntio};"
-    "experiment{arch region,i32 minw,modeimpl[],routeresult[] mdr_routing,"
-    "u8 has_tunable,lutcircuit[] tmodes,merge,site[] tlut,site[] tio,"
-    "sitespec dcs,routeresult dcs_r,u64 total,u64 merged};"
-    "mdr{modeimpl[]=netlist,mapping,placement,sitespec};"
-    "probe{u8};routes{routeresult[]}";
+    "experiment{arch region,i32 minw,placement[] mdr,"
+    "routeresult[] mdr_routing,lutcircuit[] tmodes,merge,site[] tlut,"
+    "site[] tio,routeresult dcs_r};"
+    "mdr{placement[]};probe{u8};routes{routeresult[]}";
 
 /// Thrown by the Reader on any structural violation; load() maps it (and
 /// every domain-validation exception) to "invalid entry".
@@ -205,87 +202,6 @@ place::Placement read_placement(Reader& r) {
   return p;
 }
 
-void write_place_netlist(Writer& w, const place::PlaceNetlist& n) {
-  w.u64(n.num_blocks());
-  for (const auto& block : n.blocks()) {
-    w.u8(static_cast<std::uint8_t>(block.type));
-    w.str(block.name);
-    w.u8(block.registered ? 1 : 0);
-  }
-  w.u64(n.num_nets());
-  for (const auto& net : n.nets()) {
-    w.u32(net.driver);
-    write_u32_vec(w, net.sinks);
-    w.f64(net.weight);
-  }
-}
-
-place::PlaceNetlist read_place_netlist(Reader& r) {
-  place::PlaceNetlist n;
-  const std::size_t num_blocks = r.count(10);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    const std::uint8_t type = r.u8();
-    if (type > 1) throw CorruptEntry("bad block type");
-    std::string name = r.str();
-    const bool registered = r.u8() != 0;
-    n.add_block(static_cast<place::PlaceBlock::Type>(type), std::move(name),
-                registered);
-  }
-  const std::size_t num_nets = r.count(20);
-  for (std::size_t i = 0; i < num_nets; ++i) {
-    place::PlaceNet net;
-    net.driver = r.u32();
-    net.sinks = r.u32_vec();
-    net.weight = r.f64();
-    n.add_net(std::move(net));
-  }
-  return n;
-}
-
-void write_mapping(Writer& w, const place::LutPlaceMapping& m) {
-  w.u32(m.num_luts);
-  w.u32(m.pi_base);
-  w.u32(m.po_base);
-}
-
-place::LutPlaceMapping read_mapping(Reader& r) {
-  place::LutPlaceMapping m;
-  m.num_luts = r.u32();
-  m.pi_base = r.u32();
-  m.po_base = r.u32();
-  return m;
-}
-
-void write_site_spec(Writer& w, const SiteRouteSpec& s) {
-  w.i32(s.num_modes);
-  w.u64(s.nets.size());
-  for (const auto& net : s.nets) {
-    w.str(net.name);
-    write_site(w, net.source);
-    w.u64(net.conns.size());
-    for (const auto& conn : net.conns) {
-      write_site(w, conn.sink);
-      w.u32(conn.modes);
-    }
-  }
-}
-
-SiteRouteSpec read_site_spec(Reader& r) {
-  SiteRouteSpec s;
-  s.num_modes = r.i32();
-  s.nets.resize(r.count(23));
-  for (auto& net : s.nets) {
-    net.name = r.str();
-    net.source = read_site(r);
-    net.conns.resize(r.count(11));
-    for (auto& conn : net.conns) {
-      conn.sink = read_site(r);
-      conn.modes = r.u32();
-    }
-  }
-  return s;
-}
-
 void write_route_result(Writer& w, const route::RouteResult& res) {
   w.u8(res.success ? 1 : 0);
   w.i32(res.iterations);
@@ -433,22 +349,6 @@ tunable::TunableCircuit read_tunable(Reader& r) {
   return tunable::TunableCircuit(std::move(modes), assignment);
 }
 
-void write_mode_impl(Writer& w, const ModeImpl& impl) {
-  write_place_netlist(w, impl.netlist);
-  write_mapping(w, impl.mapping);
-  write_placement(w, impl.placement);
-  write_site_spec(w, impl.route_spec);
-}
-
-ModeImpl read_mode_impl(Reader& r) {
-  place::PlaceNetlist netlist = read_place_netlist(r);
-  place::LutPlaceMapping mapping = read_mapping(r);
-  place::Placement placement = read_placement(r);
-  SiteRouteSpec spec = read_site_spec(r);
-  return ModeImpl{std::move(netlist), mapping, std::move(placement),
-                  std::move(spec)};
-}
-
 // ---- per-type payloads ------------------------------------------------------
 //
 // One Codec per artifact type: its entry kind plus its payload writer and
@@ -458,18 +358,18 @@ template <typename T>
 struct Codec;
 
 template <>
-struct Codec<std::vector<ModeImpl>> {
+struct Codec<std::vector<place::Placement>> {
   static constexpr int kind = kMdr;
-  static void write(Writer& w, const std::vector<ModeImpl>& mdr) {
+  static void write(Writer& w, const std::vector<place::Placement>& mdr) {
     w.u64(mdr.size());
-    for (const auto& impl : mdr) write_mode_impl(w, impl);
+    for (const auto& placement : mdr) write_placement(w, placement);
   }
-  static std::vector<ModeImpl> read(Reader& r) {
-    std::vector<ModeImpl> mdr;
-    const std::size_t num_modes = r.count(30);
+  static std::vector<place::Placement> read(Reader& r) {
+    std::vector<place::Placement> mdr;
+    const std::size_t num_modes = r.count(29);  // arch + count = 29 bytes
     mdr.reserve(num_modes);
     for (std::size_t m = 0; m < num_modes; ++m) {
-      mdr.push_back(read_mode_impl(r));
+      mdr.push_back(read_placement(r));
     }
     return mdr;
   }
@@ -496,43 +396,55 @@ struct Codec<std::vector<route::RouteResult>> {
   }
 };
 
+/// Stores only what the flow cannot cheaply re-derive; the reader rebuilds
+/// the MDR netlists, mappings and route specs, the DCS route spec and the
+/// merge statistics from the stored modes, placements and sites, through
+/// the functions the flow itself uses. Those REQUIRE the stored placements
+/// and sites to fit the derived netlists, so a misfit throws while
+/// rebuilding and load() counts the entry invalid.
 template <>
 struct Codec<MultiModeExperiment> {
   static constexpr int kind = kExperiment;
-  using Mdr = Codec<std::vector<ModeImpl>>;
+  using Mdr = Codec<std::vector<place::Placement>>;
   using Routes = Codec<std::vector<route::RouteResult>>;
 
   static void write(Writer& w, const MultiModeExperiment& e) {
+    MMFLOW_REQUIRE(e.tunable.has_value());
     write_arch(w, e.region);
     w.i32(e.min_width);
-    Mdr::write(w, e.mdr);
+    w.u64(e.mdr.size());
+    for (const auto& impl : e.mdr) write_placement(w, impl.placement);
     Routes::write(w, e.mdr_routing);
-    w.u8(e.tunable.has_value() ? 1 : 0);
-    if (e.tunable.has_value()) write_tunable(w, *e.tunable);
+    write_tunable(w, *e.tunable);
     w.u64(e.tlut_site.size());
     for (const auto& s : e.tlut_site) write_site(w, s);
     w.u64(e.tio_site.size());
     for (const auto& s : e.tio_site) write_site(w, s);
-    write_site_spec(w, e.dcs_route_spec);
     write_route_result(w, e.dcs_routing);
-    w.u64(e.total_mode_connections);
-    w.u64(e.merged_connections);
   }
   static MultiModeExperiment read(Reader& r) {
     MultiModeExperiment e;
     e.region = read_arch(r);
     e.min_width = r.i32();
-    e.mdr = Mdr::read(r);
+    std::vector<place::Placement> placements = Mdr::read(r);
     e.mdr_routing = Routes::read(r);
-    if (r.u8() != 0) e.tunable.emplace(read_tunable(r));
+    const tunable::TunableCircuit& tc = e.tunable.emplace(read_tunable(r));
     e.tlut_site.resize(r.count(7));
     for (auto& s : e.tlut_site) s = read_site(r);
     e.tio_site.resize(r.count(7));
     for (auto& s : e.tio_site) s = read_site(r);
-    e.dcs_route_spec = read_site_spec(r);
     e.dcs_routing = read_route_result(r);
-    e.total_mode_connections = r.u64();
-    e.merged_connections = r.u64();
+
+    if (placements.size() != tc.modes().size()) {
+      throw CorruptEntry("placement count differs from mode count");
+    }
+    e.mdr.reserve(placements.size());
+    for (std::size_t m = 0; m < placements.size(); ++m) {
+      e.mdr.push_back(mdr_impl(tc.modes()[m], std::move(placements[m])));
+    }
+    e.dcs_route_spec = dcs_route_spec_from(tc, e.tlut_site, e.tio_site);
+    e.total_mode_connections = tc.total_mode_connections();
+    e.merged_connections = tc.num_merged_connections();
     return e;
   }
 };
@@ -730,13 +642,13 @@ bool ArtifactStore::save_experiment(const FlowKey& key,
   return save(key, experiment);
 }
 
-std::optional<std::vector<ModeImpl>> ArtifactStore::load_mdr(
+std::optional<std::vector<place::Placement>> ArtifactStore::load_mdr(
     const FlowKey& key) const {
-  return load<std::vector<ModeImpl>>(key);
+  return load<std::vector<place::Placement>>(key);
 }
 
 bool ArtifactStore::save_mdr(const FlowKey& key,
-                             const std::vector<ModeImpl>& mdr) {
+                             const std::vector<place::Placement>& mdr) {
   return save(key, mdr);
 }
 

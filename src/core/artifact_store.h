@@ -2,7 +2,7 @@
 /// \file artifact_store.h
 /// On-disk, cross-process persistence layer under `core::FlowCache` — the
 /// ROADMAP's "on-disk artifact store". Every in-memory cache granularity
-/// (whole experiments, the engine-independent MDR bundle, per-width MDR
+/// (whole experiments, the engine-independent MDR placements, per-width MDR
 /// routability probes, final-width MDR routes) gets a content-addressed
 /// file keyed by its `FlowKey` structural hashes, so a second process —
 /// or a sharded batch on another machine sharing the directory — replays
@@ -12,7 +12,7 @@
 ///
 /// ```
 /// <root>/experiments/<key>.bin   MultiModeExperiment
-/// <root>/mdr/<key>.bin           std::vector<ModeImpl>
+/// <root>/mdr/<key>.bin           std::vector<place::Placement>
 /// <root>/probes/<key>.bin        bool (routability at key.width)
 /// <root>/routes/<key>.bin        std::vector<route::RouteResult>
 /// ```
@@ -41,14 +41,19 @@
 ///
 /// ## Determinism contract
 ///
-/// Every payload either stores a computed artifact bit-for-bit (placement
-/// sites, route specs, routed paths, region) or stores the exact inputs of
-/// a deterministic reconstruction (the Tunable circuit is persisted as its
-/// mode circuits + merge assignment and rebuilt through the
-/// `TunableCircuit` constructor). What a consumer can derive is not stored
-/// at all: route problems are `SiteRouteSpec::instantiate` of the stored
-/// specs against the region's RRG. A warm process therefore reproduces a
-/// cold process's QoR bit-identically — asserted by
+/// A payload holds only what the flow cannot cheaply re-derive, bit for
+/// bit: the region and minimum width, the annealed placements (MDR
+/// placements, TLUT/TIO sites), routed paths, probe verdicts, and the exact
+/// inputs of the merge (the Tunable circuit is persisted as its mode
+/// circuits + merge assignment and rebuilt through the `TunableCircuit`
+/// constructor). Everything else is re-derived on load through the
+/// functions the flow itself uses: each mode's netlist, mapping and MDR
+/// route spec through `mdr_impl`, the DCS route spec through
+/// `dcs_route_spec_from`, and the connection counts from the Tunable
+/// circuit; route problems are `SiteRouteSpec::instantiate` of the specs
+/// against the region's RRG. A stored placement that does not fit its
+/// derived netlist makes the entry invalid. A warm process therefore
+/// reproduces a cold process's QoR bit-identically — asserted by
 /// tests/test_artifact_store.cpp and the CI persistent-cache smoke job.
 ///
 /// ## Thread-safety
@@ -86,15 +91,18 @@ class ArtifactStore {
 
   // Each load returns the artifact, or nullopt on a miss (absent file) or an
   // invalid entry (see the failure contract above). Each save returns
-  // whether the entry was committed.
+  // whether the entry was committed. `save_experiment` requires a Tunable
+  // circuit (the flow always builds one).
   [[nodiscard]] std::optional<MultiModeExperiment> load_experiment(
       const FlowKey& key) const;
   bool save_experiment(const FlowKey& key,
                        const MultiModeExperiment& experiment);
 
-  [[nodiscard]] std::optional<std::vector<ModeImpl>> load_mdr(
+  /// The engine-independent MDR placements, one per mode.
+  [[nodiscard]] std::optional<std::vector<place::Placement>> load_mdr(
       const FlowKey& key) const;
-  bool save_mdr(const FlowKey& key, const std::vector<ModeImpl>& mdr);
+  bool save_mdr(const FlowKey& key,
+                const std::vector<place::Placement>& mdr);
 
   [[nodiscard]] std::optional<bool> load_probe(const FlowKey& key) const;
   bool save_probe(const FlowKey& key, const bool& routable);

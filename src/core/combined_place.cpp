@@ -395,8 +395,6 @@ class CombinedSa {
   [[nodiscard]] bool timing_enabled() const { return obj_.lambda > 0.0; }
 
   void bind_timing(const CombinedPlaceOptions& options) {
-    MMFLOW_REQUIRE_MSG(options.timing_tradeoff <= 1.0,
-                       "timing_tradeoff must be in [0, 1]");
     obj_.lambda = options.timing_tradeoff;
     obj_.wl_sum = cost_;  // cost_ currently holds the raw wirelength total
     obj_.t_sum = 0.0;
@@ -702,6 +700,12 @@ CombinedPlacement combined_place(const std::vector<techmap::LutCircuit>& modes,
                                  const CombinedPlaceOptions& options,
                                  CombinedPlaceStats* stats) {
   MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  // One check for both engines: WireLength binds timing only for λ > 0 and
+  // EdgeMatch ignores λ, so an out-of-range (or NaN) λ would otherwise run
+  // the λ = 0 flow under a different cache key.
+  MMFLOW_REQUIRE_MSG(
+      options.timing_tradeoff >= 0.0 && options.timing_tradeoff <= 1.0,
+      "timing_tradeoff must be in [0, 1]");
   MMFLOW_PERF_SCOPE("combined_place.total");
   MMFLOW_PERF_ADD("combined_place.calls", 1);
   CombinedPlacement out;

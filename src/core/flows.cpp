@@ -105,7 +105,9 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   Fnv fnv;
   fnv.f64(options.area_slack);
   fnv.f64(options.width_slack);
-  fnv.byte(static_cast<std::uint8_t>(options.encoding));
+  // Slot of the removed `encoding` knob (it never reached the flow), kept
+  // at its historical default so every pinned options hash stays put.
+  fnv.byte(0);
   fnv.f64(options.anneal.inner_num);
   fnv.f64(options.anneal.init_t_factor);
   fnv.f64(options.anneal.exit_t_fraction);
@@ -119,7 +121,9 @@ std::uint64_t hash_flow_options(const FlowOptions& options) {
   fnv.f64(r.share_discount);
   fnv.f64(r.align_discount);
   fnv.f64(r.astar_fac);
-  fnv.u64(r.seed);
+  // Slot of the removed, never-read `RouterOptions::seed`, kept at its
+  // historical default for the same reason.
+  fnv.u64(1);
   fnv.i64(options.max_channel_width);
   fnv.byte(options.tplace_from_scratch_for_edgematch ? 1 : 0);
   // timing_tradeoff is deliberately NOT hashed here: it rides in
@@ -247,11 +251,12 @@ FlowCache::store_mdr_routes(const FlowKey& key,
   return insert(mdr_routes_, key, std::move(routes));
 }
 
-std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
+std::shared_ptr<const std::vector<place::Placement>> FlowCache::mdr_or_compute(
     const FlowKey& key,
-    const std::function<std::vector<ModeImpl>()>& compute) {
-  std::shared_future<std::shared_ptr<const std::vector<ModeImpl>>> waiting;
-  std::promise<std::shared_ptr<const std::vector<ModeImpl>>> promise;
+    const std::function<std::vector<place::Placement>()>& compute) {
+  using Shared = std::shared_ptr<const std::vector<place::Placement>>;
+  std::shared_future<Shared> waiting;
+  std::promise<Shared> promise;
   std::shared_ptr<ArtifactStore> store;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -270,17 +275,17 @@ std::shared_ptr<const std::vector<ModeImpl>> FlowCache::mdr_or_compute(
     }
   }
   if (waiting.valid()) {
-    // Another worker is annealing this bundle right now; wait and share
+    // Another worker is annealing these placements right now; wait and share
     // its result instead of duplicating the work.
     mdr_.hits.fetch_add(1, std::memory_order_relaxed);
     return waiting.get();
   }
-  std::shared_ptr<const std::vector<ModeImpl>> value;
+  Shared value;
   try {
     // Disk read-through before computing; the in-flight registration above
     // already makes this thread the single loader/computer/writer for the
     // key, so store reads and the write-behind are naturally serialized.
-    std::optional<std::vector<ModeImpl>> loaded;
+    std::optional<std::vector<place::Placement>> loaded;
     if (store != nullptr) loaded = ((*store).*mdr_.load)(key);
     value = loaded.has_value() ? promote(mdr_, key, std::move(*loaded))
                                : insert(mdr_, key, compute());
@@ -366,11 +371,25 @@ SiteRouteSpec mdr_route_spec(const place::PlaceNetlist& netlist,
   return spec;
 }
 
-/// Routing spec of the Tunable circuit: one net per tunable source endpoint,
-/// one connection per Tunable connection with its activation mask.
+}  // namespace
+
+ModeImpl mdr_impl(const techmap::LutCircuit& mode, place::Placement placement) {
+  ModeImpl impl{place::PlaceNetlist{}, {}, std::move(placement), {}};
+  impl.netlist = place::to_place_netlist(mode, &impl.mapping);
+  MMFLOW_REQUIRE_MSG(impl.placement.num_blocks() == impl.netlist.num_blocks(),
+                     "placement of " << impl.placement.num_blocks()
+                                     << " blocks for mode '" << mode.name()
+                                     << "' of " << impl.netlist.num_blocks()
+                                     << " blocks");
+  impl.route_spec = mdr_route_spec(impl.netlist, impl.placement);
+  return impl;
+}
+
 SiteRouteSpec dcs_route_spec_from(const tunable::TunableCircuit& tc,
                                   const std::vector<Site>& tlut_site,
                                   const std::vector<Site>& tio_site) {
+  MMFLOW_REQUIRE(tlut_site.size() == tc.num_tluts() &&
+                 tio_site.size() == tc.num_tios());
   SiteRouteSpec spec;
   spec.num_modes = tc.num_modes();
   auto site_of = [&](tunable::TRef r) {
@@ -392,6 +411,8 @@ SiteRouteSpec dcs_route_spec_from(const tunable::TunableCircuit& tc,
   }
   return spec;
 }
+
+namespace {
 
 /// Places the merged Tunable circuit with TPlace from scratch (EdgeMatch
 /// pipeline: topology is fixed, geometry is re-optimized).
@@ -477,28 +498,29 @@ MultiModeExperiment compute_experiment(
   MultiModeExperiment exp;
 
   // ---- MDR: place every mode separately ------------------------------------
+  // Only the placements are annealed (and cached); every ModeImpl is then
+  // derived from them the same way on a hit and on a miss.
   {
     MMFLOW_PERF_SCOPE("flow.mdr_place");
     auto compute_mdr = [&] {
-      std::vector<ModeImpl> mdr;
+      std::vector<place::Placement> placements;
       for (int m = 0; m < num_modes; ++m) {
-        ModeImpl impl{place::PlaceNetlist{}, {}, place::Placement(grid, 0), {}};
-        impl.netlist = place::to_place_netlist(
-            modes[static_cast<std::size_t>(m)], &impl.mapping);
         place::PlacerOptions popt;
         popt.seed = options.seed * 1000003u + static_cast<std::uint64_t>(m);
         popt.anneal = options.anneal;
         popt.cancel = options.cancel;
-        impl.placement = place::place(impl.netlist, grid, popt);
-        impl.route_spec = mdr_route_spec(impl.netlist, impl.placement);
-        mdr.push_back(std::move(impl));
+        placements.push_back(place::place(
+            place::to_place_netlist(modes[static_cast<std::size_t>(m)]), grid,
+            popt));
       }
-      return mdr;
+      return placements;
     };
-    if (cache != nullptr) {
-      exp.mdr = *cache->mdr_or_compute(base_key, compute_mdr);
-    } else {
-      exp.mdr = compute_mdr();
+    std::vector<place::Placement> placements =
+        cache != nullptr ? *cache->mdr_or_compute(base_key, compute_mdr)
+                         : compute_mdr();
+    exp.mdr.reserve(modes.size());
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      exp.mdr.push_back(mdr_impl(modes[m], std::move(placements[m])));
     }
   }
 

@@ -24,17 +24,21 @@
 /// purity. A `FlowContext` carries two optional caches:
 ///  * `FlowCache` — memoizes flow artifacts under a `FlowKey`
 ///    (netlist hash, arch hash, options hash, seed, engine, width), at four
-///    granularities: whole experiments, the engine-independent MDR bundle
-///    (per-mode placements + route specs), per-width MDR routability probes,
-///    and the final-width MDR routings. All four share one tier
-///    implementation (memory map, disk read-through, write-behind); only
-///    the MDR bundle adds in-flight sharing on top. Nothing derivable is
-///    cached: a `RouteProblem` is `SiteRouteSpec::instantiate` of a stored
-///    spec against the region's RRG, so consumers re-instantiate it
-///    instead of carrying a second copy. The sub-experiment entries are what
-///    make cost-engine comparisons cheap: the MDR side of an EdgeMatch run
-///    is bit-identical to the MDR side of a WireLength run, so the second
-///    engine reuses it instead of re-annealing and re-routing.
+///    granularities: whole experiments, the engine-independent MDR
+///    placements (one per mode), per-width MDR routability probes, and the
+///    final-width MDR routings. All four share one tier implementation
+///    (memory map, disk read-through, write-behind); only the MDR
+///    placements add in-flight sharing on top. Only what is expensive to
+///    recompute is cached — annealed placements, the merge, routes, probe
+///    verdicts. Everything linear-time is re-derived through the functions
+///    the flow itself uses, on a hit and a miss alike: a mode's netlist,
+///    mapping and MDR route spec come from `mdr_impl`, the DCS route spec
+///    from `dcs_route_spec_from`, and a `RouteProblem` is
+///    `SiteRouteSpec::instantiate` of a spec against the region's RRG. The
+///    sub-experiment entries are what make cost-engine comparisons cheap:
+///    the MDR side of an EdgeMatch run is bit-identical to the MDR side of
+///    a WireLength run, so the second engine reuses it instead of
+///    re-annealing and re-routing.
 ///  * `RrgCache` — shares immutable `arch::RoutingGraph` instances across
 ///    runs (keyed by the full ArchSpec, including channel width). One batch
 ///    of seed restarts probes the same widths over and over; the graph is
@@ -107,7 +111,6 @@ struct FlowOptions {
   std::uint64_t seed = 1;
   double area_slack = 1.2;        ///< paper: square area 20% above minimum
   double width_slack = 1.2;       ///< paper: channel width 20% above minimum
-  bitstream::MuxEncoding encoding = bitstream::MuxEncoding::Binary;
   place::AnnealOptions anneal;    ///< shared by all SA runs
   route::RouterOptions router;
   int max_channel_width = 128;
@@ -142,7 +145,8 @@ struct FlowOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// One mode's MDR implementation.
+/// One mode's MDR implementation. Only `placement` is annealed; the rest is
+/// derived from the mode circuit and the placement by `mdr_impl`.
 struct ModeImpl {
   place::PlaceNetlist netlist;
   place::LutPlaceMapping mapping;
@@ -172,6 +176,20 @@ struct MultiModeExperiment {
   std::size_t total_mode_connections = 0;
   std::size_t merged_connections = 0;
 };
+
+/// One mode's MDR implementation from its circuit and its placement: the
+/// netlist and mapping of `place::to_place_netlist` plus the single-mode
+/// route spec. The flow and the artifact store's reader both build every
+/// `ModeImpl` here. Requires `placement` to hold one site per netlist block.
+[[nodiscard]] ModeImpl mdr_impl(const techmap::LutCircuit& mode,
+                                place::Placement placement);
+
+/// Routing spec of the Tunable circuit: one net per tunable source endpoint,
+/// one connection per Tunable connection with its activation mask. Requires
+/// one site per TLUT and per TIO.
+[[nodiscard]] SiteRouteSpec dcs_route_spec_from(
+    const tunable::TunableCircuit& tc, const std::vector<arch::Site>& tlut_site,
+    const std::vector<arch::Site>& tio_site);
 
 // ---- flow-level caching -----------------------------------------------------
 
@@ -205,7 +223,7 @@ struct MultiModeExperiment {
 /// width-independent ones; `variant` is the bit pattern of
 /// `timing_tradeoff` for λ-dependent entries (whole experiments) and 0 for
 /// λ-independent ones — like `engine`, it lives in the key rather than the
-/// options hash so the MDR bundle, width probes and final MDR routes are
+/// options hash so the MDR placements, width probes and final MDR routes are
 /// shared across λ values (a tradeoff sweep pays for the baseline once).
 struct FlowKey {
   std::uint64_t netlist = 0;   ///< hash_modes of the input circuits
@@ -256,16 +274,16 @@ class FlowCache {
   std::shared_ptr<const MultiModeExperiment> store_experiment(
       const FlowKey& key, MultiModeExperiment experiment);
 
-  /// Returns the MDR bundle for `key`, computing it at most once even under
-  /// concurrency: the first caller runs `compute`; callers arriving while
-  /// that computation is in flight block on it and share its result instead
-  /// of duplicating the anneal (the expensive half of an experiment) — so a
-  /// parallel engine sweep really does pay for the MDR baseline once.
-  /// Waiters count as `flowcache.mdr_hits`; an exception from `compute`
-  /// propagates to the computing caller and every waiter.
-  std::shared_ptr<const std::vector<ModeImpl>> mdr_or_compute(
+  /// Returns the MDR placements (one per mode) for `key`, computing them at
+  /// most once even under concurrency: the first caller runs `compute`;
+  /// callers arriving while that computation is in flight block on it and
+  /// share its result instead of duplicating the anneal (the expensive half
+  /// of an experiment) — so a parallel engine sweep really does pay for the
+  /// MDR baseline once. Waiters count as `flowcache.mdr_hits`; an exception
+  /// from `compute` propagates to the computing caller and every waiter.
+  std::shared_ptr<const std::vector<place::Placement>> mdr_or_compute(
       const FlowKey& key,
-      const std::function<std::vector<ModeImpl>()>& compute);
+      const std::function<std::vector<place::Placement>()>& compute);
 
   /// Routability of the MDR implementations at `key.width`.
   std::optional<bool> find_probe(const FlowKey& key);
@@ -307,12 +325,12 @@ class FlowCache {
 
   mutable std::mutex mutex_;
   Tier<MultiModeExperiment> experiments_;
-  Tier<std::vector<ModeImpl>> mdr_;
+  Tier<std::vector<place::Placement>> mdr_;
   /// In-flight MDR computations (see mdr_or_compute): waiters share the
   /// computing caller's future instead of recomputing.
   std::unordered_map<
       FlowKey,
-      std::shared_future<std::shared_ptr<const std::vector<ModeImpl>>>,
+      std::shared_future<std::shared_ptr<const std::vector<place::Placement>>>,
       FlowKeyHash>
       mdr_inflight_;
   Tier<bool> probes_;

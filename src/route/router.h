@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,7 +91,6 @@ struct RouterOptions {
   /// A* heuristic weight (1.0 = admissible; slightly above trades quality
   /// for speed).
   double astar_fac = 1.2;
-  std::uint64_t seed = 1;
   /// Worker threads for the parallel routing waves: 1 = sequential (the
   /// default), 0 = one per hardware thread, K = K workers. Results are
   /// bit-identical for every value — `jobs` trades wall time only — so it is
@@ -156,26 +154,13 @@ struct RouteResult {
 [[nodiscard]] int search_min_width(const std::function<bool(int)>& routable_at,
                                    int max_width);
 
-/// Cache hook for the width search: supplies the (immutable, shareable)
-/// routing graph for a spec instead of building one per probe. Implemented
-/// by core::RrgCache; a batch of width searches over the same device then
-/// constructs each per-width graph exactly once. The provider must return a
-/// graph built from exactly `spec` (same arch semantics as the local build
-/// it replaces — the cache key is the full ArchSpec including width) and
-/// must be safe to call from concurrent searches.
-using RrgProvider = std::function<std::shared_ptr<const arch::RoutingGraph>(
-    const arch::ArchSpec&)>;
-
 /// Smallest channel width for which `make_problem(rrg)` routes, scanning
 /// upward then binary-searching. `spec` provides everything but the channel
 /// width. Returns the minimum W; throws if none <= `max_width` works.
-/// A null `rrg_provider` builds each probed width's graph locally.
-/// Re-entrant (concurrent searches may even share one `RrgProvider`); the
-/// probes inherit `options.jobs`, so the width search parallelizes with the
-/// same bit-identical-results guarantee as `route()`.
+/// Re-entrant; the probes inherit `options.jobs`, so the width search
+/// parallelizes with the same bit-identical-results guarantee as `route()`.
 [[nodiscard]] int min_channel_width(
     arch::ArchSpec spec, const std::function<RouteProblem(const arch::RoutingGraph&)>& make_problem,
-    const RouterOptions& options = {}, int max_width = 128,
-    const RrgProvider& rrg_provider = {});
+    const RouterOptions& options = {}, int max_width = 128);
 
 }  // namespace mmflow::route

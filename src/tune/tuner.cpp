@@ -33,7 +33,7 @@ double mean(const std::vector<double>& values) {
 std::vector<double> experiment_objectives(
     const core::MultiModeExperiment& experiment,
     const std::vector<techmap::LutCircuit>& modes,
-    const core::FlowOptions& options, const ObjectiveSet& objectives) {
+    const ObjectiveSet& objectives) {
   std::vector<double> out;
   out.reserve(objectives.size());
   for (const std::string& name : objectives.names) {
@@ -44,7 +44,8 @@ std::vector<double> experiment_objectives(
           mean(core::timing_report(experiment, modes).dcs_critical_path));
     } else {  // "frames" — ObjectiveSet::parse admits nothing else
       out.push_back(static_cast<double>(
-          core::reconfig_metrics(experiment, options.encoding).dcs_bits));
+          core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary)
+              .dcs_bits));
     }
   }
   return out;
@@ -298,7 +299,6 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
     // Aggregate each trial's per-benchmark results (mean over benchmarks).
     for (std::size_t k = 0; k < to_run.size(); ++k) {
       TuneTrial& trial = rung_trials[to_run[k]];
-      const core::FlowOptions flow = trial_options(trial.index, rung);
       bool ok = true;
       bool deterministic_outcome = true;  // false: timeout/cancel — no ledger
       std::vector<double> sum(objectives.size(), 0.0);
@@ -314,7 +314,7 @@ TuneResult tune(const std::vector<TuneBenchmark>& benchmarks,
           continue;
         }
         const std::vector<double> obj = experiment_objectives(
-            *job.experiment, *benchmarks[b].modes, flow, objectives);
+            *job.experiment, *benchmarks[b].modes, objectives);
         for (std::size_t o = 0; o < sum.size(); ++o) sum[o] += obj[o];
       }
       trial.ok = ok;

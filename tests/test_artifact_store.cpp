@@ -162,8 +162,39 @@ void expect_same_routing(const route::RouteResult& a,
   }
 }
 
-/// Bit-for-bit equality of everything QoR-relevant, including the metrics
-/// derived from the reconstructed Tunable circuit.
+void expect_same_netlist(const place::PlaceNetlist& a,
+                         const place::PlaceNetlist& b) {
+  ASSERT_EQ(a.num_blocks(), b.num_blocks());
+  for (std::size_t i = 0; i < a.num_blocks(); ++i) {
+    EXPECT_EQ(a.blocks()[i].type, b.blocks()[i].type);
+    EXPECT_EQ(a.blocks()[i].name, b.blocks()[i].name);
+    EXPECT_EQ(a.blocks()[i].registered, b.blocks()[i].registered);
+  }
+  ASSERT_EQ(a.num_nets(), b.num_nets());
+  for (std::size_t n = 0; n < a.num_nets(); ++n) {
+    EXPECT_EQ(a.nets()[n].driver, b.nets()[n].driver);
+    EXPECT_EQ(a.nets()[n].sinks, b.nets()[n].sinks);
+    EXPECT_EQ(a.nets()[n].weight, b.nets()[n].weight);
+  }
+}
+
+void expect_same_spec(const SiteRouteSpec& a, const SiteRouteSpec& b) {
+  EXPECT_EQ(a.num_modes, b.num_modes);
+  ASSERT_EQ(a.nets.size(), b.nets.size());
+  for (std::size_t n = 0; n < a.nets.size(); ++n) {
+    EXPECT_EQ(a.nets[n].name, b.nets[n].name);
+    EXPECT_EQ(a.nets[n].source, b.nets[n].source);
+    ASSERT_EQ(a.nets[n].conns.size(), b.nets[n].conns.size());
+    for (std::size_t c = 0; c < a.nets[n].conns.size(); ++c) {
+      EXPECT_EQ(a.nets[n].conns[c].sink, b.nets[n].conns[c].sink);
+      EXPECT_EQ(a.nets[n].conns[c].modes, b.nets[n].conns[c].modes);
+    }
+  }
+}
+
+/// Bit-for-bit equality of everything QoR-relevant: the stored artifacts,
+/// every field derived from them on load, and the metrics derived from the
+/// reconstructed Tunable circuit.
 void expect_same_experiment(const MultiModeExperiment& a,
                             const MultiModeExperiment& b) {
   EXPECT_EQ(a.region, b.region);
@@ -175,13 +206,17 @@ void expect_same_experiment(const MultiModeExperiment& a,
       EXPECT_EQ(a.mdr[m].placement.site_of(blk),
                 b.mdr[m].placement.site_of(blk));
     }
-    EXPECT_EQ(a.mdr[m].netlist.num_blocks(), b.mdr[m].netlist.num_blocks());
-    EXPECT_EQ(a.mdr[m].netlist.num_nets(), b.mdr[m].netlist.num_nets());
+    expect_same_netlist(a.mdr[m].netlist, b.mdr[m].netlist);
+    EXPECT_EQ(a.mdr[m].mapping.num_luts, b.mdr[m].mapping.num_luts);
+    EXPECT_EQ(a.mdr[m].mapping.pi_base, b.mdr[m].mapping.pi_base);
+    EXPECT_EQ(a.mdr[m].mapping.po_base, b.mdr[m].mapping.po_base);
+    expect_same_spec(a.mdr[m].route_spec, b.mdr[m].route_spec);
   }
   ASSERT_EQ(a.mdr_routing.size(), b.mdr_routing.size());
   for (std::size_t m = 0; m < a.mdr_routing.size(); ++m) {
     expect_same_routing(a.mdr_routing[m], b.mdr_routing[m]);
   }
+  expect_same_spec(a.dcs_route_spec, b.dcs_route_spec);
   expect_same_routing(a.dcs_routing, b.dcs_routing);
   EXPECT_EQ(a.tlut_site, b.tlut_site);
   EXPECT_EQ(a.tio_site, b.tio_site);
@@ -255,13 +290,13 @@ TEST(CanonicalHash, EveryFlowOptionsFieldIsClassified) {
   // below as hashed, key-side (its own FlowKey field) or execution-only.
   // An unhashed result-changing knob would serve stale cache entries.
   FlowOptions options;
-  auto& [cost_engine, seed, area_slack, width_slack, encoding, anneal, router,
+  auto& [cost_engine, seed, area_slack, width_slack, anneal, router,
          max_channel_width, tplace_from_scratch, timing_tradeoff, route_jobs,
          cancel] = options;
   auto& [inner_num, init_t_factor, exit_t_fraction] = anneal;
   auto& [max_iterations, split_conflicted_after, first_iter_pres_fac,
          pres_fac_mult, max_pres_fac, hist_fac, share_discount, align_discount,
-         astar_fac, router_seed, router_jobs, router_cancel] = router;
+         astar_fac, router_jobs, router_cancel] = router;
 
   const std::uint64_t base = hash_flow_options(options);
   // Sets `field` to `value`, hashes, and restores the field.
@@ -276,7 +311,6 @@ TEST(CanonicalHash, EveryFlowOptionsFieldIsClassified) {
   // Hashed: every knob that can change a result bit.
   EXPECT_TRUE(moves_hash(area_slack, 1.5));
   EXPECT_TRUE(moves_hash(width_slack, 1.5));
-  EXPECT_TRUE(moves_hash(encoding, bitstream::MuxEncoding::OneHot));
   EXPECT_TRUE(moves_hash(inner_num, 3.0));
   EXPECT_TRUE(moves_hash(init_t_factor, 7.0));
   EXPECT_TRUE(moves_hash(exit_t_fraction, 0.01));
@@ -289,7 +323,6 @@ TEST(CanonicalHash, EveryFlowOptionsFieldIsClassified) {
   EXPECT_TRUE(moves_hash(share_discount, 0.1));
   EXPECT_TRUE(moves_hash(align_discount, 0.6));
   EXPECT_TRUE(moves_hash(astar_fac, 1.3));
-  EXPECT_TRUE(moves_hash(router_seed, std::uint64_t{2}));
   EXPECT_TRUE(moves_hash(max_channel_width, 64));
   EXPECT_TRUE(moves_hash(tplace_from_scratch, false));
 
@@ -308,8 +341,11 @@ TEST(CanonicalHash, EveryFlowOptionsFieldIsClassified) {
 
 TEST(CanonicalHash, SchemaHashIsPinned) {
   // Every entry header carries this hash; it moves only when a payload
-  // serializer (and kSchemaDescription with it) deliberately changes.
-  EXPECT_EQ(ArtifactStore::schema_hash(), 0x6ca48da616395abbULL);
+  // serializer (and kSchemaDescription with it) deliberately changes. The
+  // value is the project FNV-1a (offset basis 1469598103934665603) of the
+  // "mmflow-artifact-store v3:..." description, computed independently in
+  // Python from the string in artifact_store.cpp.
+  EXPECT_EQ(ArtifactStore::schema_hash(), 0x6fcc045e8e16a0e2ULL);
 }
 
 // ---- entry-level failure paths ----------------------------------------------
@@ -492,6 +528,28 @@ TEST(ArtifactStore, ConcurrentWritersToOneKeyLandWholeEntries) {
   }
 }
 
+TEST(ArtifactStore, PlacementNotFittingDerivedNetlistIsInvalid) {
+  // The reader derives each mode's netlist from the stored mode circuits; a
+  // stored MDR placement with a different block count must be a counted
+  // invalid entry, never an abort or an out-of-range read.
+  TempDir dir;
+  ArtifactStore store(dir.path);
+  const auto key = sample_key();
+  MultiModeExperiment exp = run_experiment(
+      two_modes(20, 15), fast_options(CombinedCost::WireLength, 2));
+  const place::Placement& full = exp.mdr[0].placement;
+  place::Placement short_by_one(full.grid(), full.num_blocks() - 1);
+  for (std::uint32_t b = 0; b + 1 < full.num_blocks(); ++b) {
+    short_by_one.assign(b, full.site_of(b));
+  }
+  exp.mdr[0].placement = std::move(short_by_one);
+  ASSERT_TRUE(store.save_experiment(key, exp));
+
+  const auto invalid = counter("flowcache.disk_invalid");
+  EXPECT_FALSE(store.load_experiment(key).has_value());
+  EXPECT_EQ(counter("flowcache.disk_invalid"), invalid + 1);
+}
+
 // ---- whole-flow persistence (the determinism contract) ----------------------
 
 TEST(ArtifactStore, WarmProcessReproducesColdRunBitIdentically) {
@@ -537,7 +595,7 @@ TEST(ArtifactStore, EngineSweepSharesMdrArtifactsAcrossProcesses) {
   }
 
   // A fresh "process" running the *other* engine misses the experiment
-  // entry but replays the engine-independent MDR bundle, width probes and
+  // entry but replays the engine-independent MDR placements, width probes and
   // final MDR routes from disk — the MDR side must be bit-identical.
   const auto hits = counter("flowcache.disk_hits");
   FlowCache cache;
@@ -550,11 +608,15 @@ TEST(ArtifactStore, EngineSweepSharesMdrArtifactsAcrossProcesses) {
 
   ASSERT_EQ(first->mdr.size(), second->mdr.size());
   for (std::size_t m = 0; m < first->mdr.size(); ++m) {
+    ASSERT_EQ(first->mdr[m].placement.num_blocks(),
+              second->mdr[m].placement.num_blocks());
     for (std::uint32_t blk = 0; blk < first->mdr[m].placement.num_blocks();
          ++blk) {
       EXPECT_EQ(first->mdr[m].placement.site_of(blk),
                 second->mdr[m].placement.site_of(blk));
     }
+    expect_same_netlist(first->mdr[m].netlist, second->mdr[m].netlist);
+    expect_same_spec(first->mdr[m].route_spec, second->mdr[m].route_spec);
   }
   ASSERT_EQ(first->mdr_routing.size(), second->mdr_routing.size());
   for (std::size_t m = 0; m < first->mdr_routing.size(); ++m) {

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -213,7 +214,7 @@ TEST(TimingDrivenFlow, TradeoffSweepSharesMdrBaseline) {
 
   // Different λ → different experiment entry (no key collision) ...
   EXPECT_NE(wl_exp.get(), td_exp.get());
-  // ... but the λ-independent MDR bundle is shared, not recomputed.
+  // ... but the λ-independent MDR placements are shared, not recomputed.
   EXPECT_GT(perf::counter_value("flowcache.mdr_hits"), mdr_hits_before);
   for (std::size_t m = 0; m < modes.size(); ++m) {
     EXPECT_EQ(hash_placement(wl_exp->mdr[m].placement),
@@ -445,6 +446,40 @@ TEST(TimingDrivenFlow, TradeoffOutOfRangeThrows) {
   EXPECT_THROW((void)place::place(pn, grid, options), PreconditionError);
   options.timing_tradeoff = -0.1;
   EXPECT_THROW((void)place::place(pn, grid, options), PreconditionError);
+}
+
+TEST(TimingDrivenFlow, CombinedTradeoffOutOfRangeThrowsForBothEngines) {
+  // λ outside [0, 1] (or NaN) must not silently run the λ = 0 flow: the
+  // WireLength engine only binds timing for λ > 0, and EdgeMatch ignores λ.
+  const std::vector<techmap::LutCircuit> modes{chainy_mode(8, 1),
+                                               chainy_mode(8, 2)};
+  const arch::DeviceGrid grid = grid_for_modes(modes);
+  for (const auto cost :
+       {core::CombinedCost::WireLength, core::CombinedCost::EdgeMatch}) {
+    core::CombinedPlaceOptions options;
+    options.cost = cost;
+    options.anneal.inner_num = 1.0;
+    for (const double bad :
+         {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      options.timing_tradeoff = bad;
+      EXPECT_THROW((void)core::combined_place(modes, grid, options),
+                   PreconditionError);
+    }
+    for (const double good : {0.0, 1.0}) {
+      options.timing_tradeoff = good;
+      EXPECT_NO_THROW((void)core::combined_place(modes, grid, options));
+    }
+  }
+
+  // Through the whole flow, uncached: WireLength at λ = -0.5 and EdgeMatch
+  // at λ = 1.5 are rejected before any result is produced.
+  core::FlowOptions flow;
+  flow.anneal.inner_num = 1.0;
+  flow.timing_tradeoff = -0.5;
+  EXPECT_THROW((void)core::run_experiment(modes, flow), PreconditionError);
+  flow.cost_engine = core::CombinedCost::EdgeMatch;
+  flow.timing_tradeoff = 1.5;
+  EXPECT_THROW((void)core::run_experiment(modes, flow), PreconditionError);
 }
 
 }  // namespace

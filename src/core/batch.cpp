@@ -142,23 +142,24 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
     out.engine = job.options.cost_engine;
     const auto start = std::chrono::steady_clock::now();
 
-    // The whole-experiment key is how the run manifest addresses this job;
-    // only needed when a manifest exists (i.e. a cache_dir was set).
     std::optional<FlowKey> key;
-    if (manifest_ != nullptr && job.modes != nullptr) {
-      key = experiment_key(*job.modes, job.options);
-      if (options_.resume && manifest_->contains(*key)) {
-        // A previous run completed this job: its result replays from the
-        // artifact store below (a disk hit), never a recompute.
-        out.outcome.manifest_skip = true;
-        MMFLOW_PERF_ADD("batch.manifest_skips", 1);
-      }
-    }
-
     for (int attempt = 0;; ++attempt) {
       try {
         MMFLOW_REQUIRE_MSG(job.modes != nullptr,
                            "batch job '" << job.name << "' has no modes");
+        // The whole-experiment key is how the run manifest addresses this
+        // job; only needed when a manifest exists (i.e. a cache_dir was
+        // set). Inside the try: a job whose inputs the key rejects fails on
+        // its own.
+        if (manifest_ != nullptr && !key.has_value()) {
+          key = experiment_key(*job.modes, job.options);
+          if (options_.resume && manifest_->contains(*key)) {
+            // A previous run completed this job: its result replays from
+            // the artifact store below (a disk hit), never a recompute.
+            out.outcome.manifest_skip = true;
+            MMFLOW_PERF_ADD("batch.manifest_skips", 1);
+          }
+        }
         // Per-attempt deadline token, chained to the batch-wide cancel: one
         // cancel() stops every job; a deadline trips only this attempt.
         CancelToken token(options_.cancel);
@@ -173,7 +174,7 @@ std::vector<BatchResult> BatchDriver::run(const std::vector<BatchJob>& jobs) {
         out.error.clear();
         out.outcome.status = JobStatus::Ok;
         out.outcome.error_kind.clear();
-        if (manifest_ != nullptr && key.has_value()) manifest_->record(*key);
+        if (key.has_value()) manifest_->record(*key);
         break;
       } catch (const std::exception& e) {
         out.error = e.what();

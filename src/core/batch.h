@@ -25,9 +25,11 @@
 /// Each job's result is a pure function of (modes, options): per-seed
 /// results from a parallel batch are bit-identical to running the same jobs
 /// sequentially, with `jobs = 1`, or via bare `run_experiment` calls with no
-/// caching at all (asserted by tests/test_batch.cpp). Scheduling can only
-/// change which worker pays for a cache miss — i.e. the hit/miss perf
-/// counter split and wall time, never any result bit. Exceptions thrown by
+/// caching at all (asserted by tests/test_batch.cpp). Every cached artifact
+/// is computed once whatever the worker count (concurrent callers of one
+/// key wait for its producer), so scheduling no longer changes the work
+/// totals or the hit/miss split either; it changes only which worker pays
+/// for each miss, and wall time. Exceptions thrown by
 /// a job are captured into its result slot (`error` + `outcome`), not
 /// propagated, so one unroutable circuit cannot tear down a sweep.
 ///

@@ -156,17 +156,19 @@ FlowCache::FlowCache()
                    perf::counter("flowcache.experiment_misses"),
                    &ArtifactStore::load_experiment,
                    &ArtifactStore::save_experiment,
+                   {},
                    {}},
       mdr_{perf::counter("flowcache.mdr_hits"),
            perf::counter("flowcache.mdr_misses"), &ArtifactStore::load_mdr,
-           &ArtifactStore::save_mdr, {}},
+           &ArtifactStore::save_mdr, {}, {}},
       probes_{perf::counter("flowcache.probe_hits"),
               perf::counter("flowcache.probe_misses"),
-              &ArtifactStore::load_probe, &ArtifactStore::save_probe, {}},
+              &ArtifactStore::load_probe, &ArtifactStore::save_probe, {}, {}},
       mdr_routes_{perf::counter("flowcache.final_route_hits"),
                   perf::counter("flowcache.final_route_misses"),
                   &ArtifactStore::load_mdr_routes,
                   &ArtifactStore::save_mdr_routes,
+                  {},
                   {}} {}
 
 void FlowCache::attach_store(std::shared_ptr<ArtifactStore> store) {
@@ -175,134 +177,86 @@ void FlowCache::attach_store(std::shared_ptr<ArtifactStore> store) {
 }
 
 template <typename T>
-std::shared_ptr<const T> FlowCache::find(Tier<T>& tier, const FlowKey& key) {
+std::shared_ptr<const T> FlowCache::get_or_compute(
+    Tier<T>& tier, const FlowKey& key, const std::function<T()>& compute) {
+  using Shared = typename Tier<T>::Shared;
+  std::promise<Shared> promise;
   std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = tier.entries.find(key);
-    if (it != tier.entries.end()) {
-      tier.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+  for (;;) {
+    std::shared_future<Shared> pending;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = tier.entries.find(key);
+      if (it != tier.entries.end()) {
+        tier.hits.fetch_add(1, std::memory_order_relaxed);
+        return it->second;
+      }
+      const auto inflight = tier.inflight.find(key);
+      if (inflight == tier.inflight.end()) {
+        tier.misses.fetch_add(1, std::memory_order_relaxed);
+        tier.inflight.emplace(key, promise.get_future().share());
+        store = store_;
+        break;
+      }
+      pending = inflight->second;
     }
-    tier.misses.fetch_add(1, std::memory_order_relaxed);
-    store = store_;
+    // Another caller is loading or computing this key: share its result. A
+    // null result means its producer threw; look the key up again.
+    if (Shared value = pending.get()) {
+      tier.hits.fetch_add(1, std::memory_order_relaxed);
+      return value;
+    }
   }
-  if (store == nullptr) return nullptr;
-  // Disk read-through outside the lock (I/O + deserialization must not
-  // serialize other keys' lookups); concurrent loads of the same key race
-  // benignly — identical bytes, first promotion into memory wins.
-  auto loaded = ((*store).*tier.load)(key);
-  if (!loaded.has_value()) return nullptr;
-  return promote(tier, key, std::move(*loaded));
-}
 
-template <typename T>
-std::shared_ptr<const T> FlowCache::promote(Tier<T>& tier, const FlowKey& key,
-                                            T value) {
-  auto shared = std::make_shared<const T>(std::move(value));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return tier.entries.try_emplace(key, std::move(shared)).first->second;
-}
-
-template <typename T>
-std::shared_ptr<const T> FlowCache::insert(Tier<T>& tier, const FlowKey& key,
-                                           T value) {
-  auto shared = std::make_shared<const T>(std::move(value));
-  std::shared_ptr<ArtifactStore> store;
+  // This caller is the key's only producer until the in-flight entry goes,
+  // so the disk read, the compute and the write-behind happen once per key.
+  // The entry is on disk before anyone sees it in memory.
+  Shared value;
+  try {
+    std::optional<T> loaded;
+    if (store != nullptr) loaded = ((*store).*tier.load)(key);
+    const bool computed = !loaded.has_value();
+    if (computed) loaded.emplace(compute());
+    value = std::make_shared<const T>(std::move(*loaded));
+    if (computed && store != nullptr) ((*store).*tier.save)(key, *value);
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      tier.inflight.erase(key);
+    }
+    promise.set_value(nullptr);  // waiters retry; the error is this caller's
+    throw;
+  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = tier.entries.try_emplace(key, shared);
-    if (!inserted) return it->second;  // already cached (and persisted)
-    store = store_;
+    tier.entries.emplace(key, value);
+    tier.inflight.erase(key);
   }
-  // Write-behind: only the canonical first writer persists the entry.
-  if (store != nullptr) ((*store).*tier.save)(key, *shared);
-  return shared;
+  promise.set_value(value);
+  return value;
 }
 
-std::shared_ptr<const MultiModeExperiment> FlowCache::find_experiment(
-    const FlowKey& key) {
-  return find(experiments_, key);
-}
-
-std::shared_ptr<const MultiModeExperiment> FlowCache::store_experiment(
-    const FlowKey& key, MultiModeExperiment experiment) {
-  return insert(experiments_, key, std::move(experiment));
-}
-
-std::optional<bool> FlowCache::find_probe(const FlowKey& key) {
-  const auto routable = find(probes_, key);
-  if (routable == nullptr) return std::nullopt;
-  return *routable;
-}
-
-bool FlowCache::store_probe(const FlowKey& key, bool routable) {
-  return *insert(probes_, key, routable);
-}
-
-std::shared_ptr<const std::vector<route::RouteResult>>
-FlowCache::find_mdr_routes(const FlowKey& key) {
-  return find(mdr_routes_, key);
-}
-
-std::shared_ptr<const std::vector<route::RouteResult>>
-FlowCache::store_mdr_routes(const FlowKey& key,
-                            std::vector<route::RouteResult> routes) {
-  return insert(mdr_routes_, key, std::move(routes));
+std::shared_ptr<const MultiModeExperiment> FlowCache::experiment_or_compute(
+    const FlowKey& key, const std::function<MultiModeExperiment()>& compute) {
+  return get_or_compute(experiments_, key, compute);
 }
 
 std::shared_ptr<const std::vector<place::Placement>> FlowCache::mdr_or_compute(
     const FlowKey& key,
     const std::function<std::vector<place::Placement>()>& compute) {
-  using Shared = std::shared_ptr<const std::vector<place::Placement>>;
-  std::shared_future<Shared> waiting;
-  std::promise<Shared> promise;
-  std::shared_ptr<ArtifactStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = mdr_.entries.find(key);
-    if (it != mdr_.entries.end()) {
-      mdr_.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-    const auto inflight = mdr_inflight_.find(key);
-    if (inflight != mdr_inflight_.end()) {
-      waiting = inflight->second;
-    } else {
-      mdr_.misses.fetch_add(1, std::memory_order_relaxed);
-      mdr_inflight_.emplace(key, promise.get_future().share());
-      store = store_;
-    }
-  }
-  if (waiting.valid()) {
-    // Another worker is annealing these placements right now; wait and share
-    // its result instead of duplicating the work.
-    mdr_.hits.fetch_add(1, std::memory_order_relaxed);
-    return waiting.get();
-  }
-  Shared value;
-  try {
-    // Disk read-through before computing; the in-flight registration above
-    // already makes this thread the single loader/computer/writer for the
-    // key, so store reads and the write-behind are naturally serialized.
-    std::optional<std::vector<place::Placement>> loaded;
-    if (store != nullptr) loaded = ((*store).*mdr_.load)(key);
-    value = loaded.has_value() ? promote(mdr_, key, std::move(*loaded))
-                               : insert(mdr_, key, compute());
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      mdr_inflight_.erase(key);
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    mdr_inflight_.erase(key);
-  }
-  promise.set_value(value);
-  return value;
+  return get_or_compute(mdr_, key, compute);
+}
+
+bool FlowCache::probe_or_compute(const FlowKey& key,
+                                 const std::function<bool()>& compute) {
+  return *get_or_compute(probes_, key, compute);
+}
+
+std::shared_ptr<const std::vector<route::RouteResult>>
+FlowCache::mdr_routes_or_compute(
+    const FlowKey& key,
+    const std::function<std::vector<route::RouteResult>()>& compute) {
+  return get_or_compute(mdr_routes_, key, compute);
 }
 
 std::size_t FlowCache::size() const {
@@ -564,24 +518,20 @@ MultiModeExperiment compute_experiment(
       if (rrg_sp == nullptr) rrg_sp = rrg_for(spec);
       return *rrg_sp;
     };
-    bool mdr_ok = true;
-    FlowKey probe_key = base_key;
-    probe_key.width = width;
-    std::optional<bool> cached_probe;
-    if (cache != nullptr) cached_probe = cache->find_probe(probe_key);
-    if (cached_probe.has_value()) {
-      mdr_ok = *cached_probe;
-    } else {
+    auto probe_mdr = [&] {
       for (const auto& impl : exp.mdr) {
-        if (!route::route(rrg(), impl.route_spec.instantiate(rrg()),
-                          router)
+        if (!route::route(rrg(), impl.route_spec.instantiate(rrg()), router)
                  .success) {
-          mdr_ok = false;
-          break;
+          return false;
         }
       }
-      if (cache != nullptr) cache->store_probe(probe_key, mdr_ok);
-    }
+      return true;
+    };
+    FlowKey probe_key = base_key;
+    probe_key.width = width;
+    const bool mdr_ok = cache != nullptr
+                            ? cache->probe_or_compute(probe_key, probe_mdr)
+                            : probe_mdr();
     if (!mdr_ok) return false;
     return route::route(rrg(), exp.dcs_route_spec.instantiate(rrg()),
                         router)
@@ -601,26 +551,36 @@ MultiModeExperiment compute_experiment(
       hi, static_cast<int>(std::ceil(hi * options.width_slack)));
   const std::shared_ptr<const RoutingGraph> rrg_sp = rrg_for(exp.region);
   const RoutingGraph& rrg = *rrg_sp;
-  FlowKey final_key = base_key;
-  final_key.width = exp.region.channel_width;
-  std::shared_ptr<const std::vector<route::RouteResult>> cached_final;
-  if (cache != nullptr) cached_final = cache->find_mdr_routes(final_key);
-  if (cached_final != nullptr) {
-    exp.mdr_routing = *cached_final;
-  } else {
+  auto route_mdr = [&] {
+    std::vector<route::RouteResult> routes;
     for (const auto& impl : exp.mdr) {
-      exp.mdr_routing.push_back(
+      routes.push_back(
           route::route(rrg, impl.route_spec.instantiate(rrg), router));
-      MMFLOW_CHECK_MSG(exp.mdr_routing.back().success,
+      MMFLOW_CHECK_MSG(routes.back().success,
                        "MDR mode unroutable at relaxed width");
     }
-    if (cache != nullptr) cache->store_mdr_routes(final_key, exp.mdr_routing);
-  }
+    return routes;
+  };
+  FlowKey final_key = base_key;
+  final_key.width = exp.region.channel_width;
+  exp.mdr_routing = cache != nullptr
+                        ? *cache->mdr_routes_or_compute(final_key, route_mdr)
+                        : route_mdr();
   exp.dcs_routing =
       route::route(rrg, exp.dcs_route_spec.instantiate(rrg), router);
   MMFLOW_CHECK_MSG(exp.dcs_routing.success,
                    "DCS circuit unroutable at relaxed width");
   return exp;
+}
+
+/// The entry check of `experiment_key`, `run_experiment_shared` and
+/// `run_experiment`: a bad input fails before any annealing or store write.
+void require_valid_inputs(const std::vector<techmap::LutCircuit>& modes,
+                          const FlowOptions& options) {
+  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  MMFLOW_REQUIRE_MSG(
+      options.timing_tradeoff >= 0.0 && options.timing_tradeoff <= 1.0,
+      "timing_tradeoff must be in [0, 1], got " << options.timing_tradeoff);
 }
 
 /// Region sizing: the square logic array fits the largest mode with the
@@ -660,36 +620,30 @@ FlowKey experiment_key_for(const ArchSpec& base,
 
 FlowKey experiment_key(const std::vector<techmap::LutCircuit>& modes,
                        const FlowOptions& options) {
-  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  require_valid_inputs(modes, options);
   return experiment_key_for(base_region(modes, options), modes, options);
 }
 
 std::shared_ptr<const MultiModeExperiment> run_experiment_shared(
     const std::vector<techmap::LutCircuit>& modes, const FlowOptions& options,
     const FlowContext& context) {
-  MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+  require_valid_inputs(modes, options);
   const ArchSpec base = base_region(modes, options);
-
-  // `base_key` identifies the engine-independent MDR artifacts; `exp_key`
-  // adds the cost engine (and λ variant) and identifies the whole
-  // experiment.
   FlowCache* const cache = context.cache;
-  FlowKey base_key;
-  FlowKey exp_key;
-  if (cache != nullptr) {
-    exp_key = experiment_key_for(base, modes, options);
-    base_key = exp_key;
-    base_key.engine = 0;
-    base_key.variant = 0;
-    if (auto hit = cache->find_experiment(exp_key)) return hit;
+  if (cache == nullptr) {
+    return std::make_shared<const MultiModeExperiment>(
+        compute_experiment(modes, options, context, base, FlowKey{}));
   }
-
-  MultiModeExperiment exp =
-      compute_experiment(modes, options, context, base, base_key);
-  if (cache != nullptr) {
-    return cache->store_experiment(exp_key, std::move(exp));
-  }
-  return std::make_shared<const MultiModeExperiment>(std::move(exp));
+  // `exp_key` identifies the whole experiment; `base_key` drops the cost
+  // engine and λ variant and identifies the engine-independent MDR
+  // artifacts.
+  const FlowKey exp_key = experiment_key_for(base, modes, options);
+  FlowKey base_key = exp_key;
+  base_key.engine = 0;
+  base_key.variant = 0;
+  return cache->experiment_or_compute(exp_key, [&] {
+    return compute_experiment(modes, options, context, base, base_key);
+  });
 }
 
 MultiModeExperiment run_experiment(const std::vector<techmap::LutCircuit>& modes,
@@ -703,7 +657,7 @@ MultiModeExperiment run_experiment(const std::vector<techmap::LutCircuit>& modes
   if (context.cache == nullptr) {
     // No whole-experiment cache to feed: skip the shared wrapper and its
     // copy-out so the plain path costs exactly what it did uncached.
-    MMFLOW_REQUIRE(!modes.empty() && modes.size() <= 32);
+    require_valid_inputs(modes, options);
     return compute_experiment(modes, options, context,
                               base_region(modes, options), FlowKey{});
   }

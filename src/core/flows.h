@@ -26,9 +26,9 @@
 ///    (netlist hash, arch hash, options hash, seed, engine, width), at four
 ///    granularities: whole experiments, the engine-independent MDR
 ///    placements (one per mode), per-width MDR routability probes, and the
-///    final-width MDR routings. All four share one tier implementation
-///    (memory map, disk read-through, write-behind); only the MDR
-///    placements add in-flight sharing on top. Only what is expensive to
+///    final-width MDR routings. All four share one get-or-compute path
+///    (memory map, in-flight sharing, disk read-through, write-behind), so
+///    every artifact is computed once per cache. Only what is expensive to
 ///    recompute is cached — annealed placements, the merge, routes, probe
 ///    verdicts. Everything linear-time is re-derived through the functions
 ///    the flow itself uses, on a hit and a miss alike: a mode's netlist,
@@ -55,15 +55,15 @@
 /// deterministic function of its key, so a cache hit returns exactly the
 /// bytes a recomputation would produce. Batched/parallel runs therefore
 /// yield bit-identical per-seed results to sequential runs — the batch
-/// tests assert this. The only thing scheduling can change is *who* pays
-/// for a miss (and hence the hit/miss counter split), never a result.
+/// tests assert this. Because concurrent callers of one key share a single
+/// computation, scheduling does not change the work done or the hit/miss
+/// counts either; it only changes *which* caller pays for a miss.
 ///
 /// **Ownership & thread-safety**: caches own their entries and hand out
 /// `shared_ptr<const T>` — callers may hold values after the cache is
 /// cleared, and entries are immutable after insertion. All cache methods are
-/// mutex-guarded and safe to call from concurrent flow jobs; insertion is
-/// first-writer-wins (`store_*` returns the canonical entry, which equals
-/// any concurrently computed duplicate by the determinism contract).
+/// mutex-guarded and safe to call from concurrent flow jobs; a key has one
+/// producer at a time, and concurrent callers of that key wait for it.
 /// `FlowContext` itself is a non-owning view; the pointed-to caches must
 /// outlive every `run_experiment` call using it.
 
@@ -256,7 +256,7 @@ struct FlowKeyHash {
 /// With an `ArtifactStore` attached (see `attach_store`), the cache becomes
 /// a two-level hierarchy: memory misses read through to the on-disk store
 /// (`flowcache.disk_hits`; loaded entries are promoted into memory), and
-/// every `store_*` of a freshly computed artifact writes behind to disk
+/// every freshly computed artifact is written behind to disk
 /// (`flowcache.disk_writes`) — so a later process starts warm. All disk
 /// failure modes degrade to misses; see core/artifact_store.h.
 class FlowCache {
@@ -268,71 +268,59 @@ class FlowCache {
   /// cache to flow jobs. The store may be shared by several caches.
   void attach_store(std::shared_ptr<ArtifactStore> store);
 
-  std::shared_ptr<const MultiModeExperiment> find_experiment(
-      const FlowKey& key);
-  /// Insert-if-absent; returns the canonical stored entry.
-  std::shared_ptr<const MultiModeExperiment> store_experiment(
-      const FlowKey& key, MultiModeExperiment experiment);
-
-  /// Returns the MDR placements (one per mode) for `key`, computing them at
-  /// most once even under concurrency: the first caller runs `compute`;
-  /// callers arriving while that computation is in flight block on it and
-  /// share its result instead of duplicating the anneal (the expensive half
-  /// of an experiment) — so a parallel engine sweep really does pay for the
-  /// MDR baseline once. Waiters count as `flowcache.mdr_hits`; an exception
-  /// from `compute` propagates to the computing caller and every waiter.
+  /// Each `*_or_compute` returns the artifact filed under `key`, running
+  /// `compute` only if neither memory nor the attached store holds it. A key
+  /// is computed at most once even under concurrency: a caller that arrives
+  /// while another caller loads or computes the same key waits for that
+  /// result and counts as a `flowcache.<kind>_hits`; the one caller that
+  /// counts the miss reads through to disk, computes only on a disk miss,
+  /// and writes the computed entry behind. If `compute` throws, the
+  /// exception reaches that caller only; each waiter then looks the key up
+  /// again and one of them computes it.
+  std::shared_ptr<const MultiModeExperiment> experiment_or_compute(
+      const FlowKey& key, const std::function<MultiModeExperiment()>& compute);
+  /// The MDR placements, one per mode.
   std::shared_ptr<const std::vector<place::Placement>> mdr_or_compute(
       const FlowKey& key,
       const std::function<std::vector<place::Placement>()>& compute);
-
   /// Routability of the MDR implementations at `key.width`.
-  std::optional<bool> find_probe(const FlowKey& key);
-  bool store_probe(const FlowKey& key, bool routable);
-
+  bool probe_or_compute(const FlowKey& key,
+                        const std::function<bool()>& compute);
   /// The final-width MDR routings, one per mode.
-  std::shared_ptr<const std::vector<route::RouteResult>> find_mdr_routes(
-      const FlowKey& key);
-  std::shared_ptr<const std::vector<route::RouteResult>> store_mdr_routes(
-      const FlowKey& key, std::vector<route::RouteResult> routes);
+  std::shared_ptr<const std::vector<route::RouteResult>> mdr_routes_or_compute(
+      const FlowKey& key,
+      const std::function<std::vector<route::RouteResult>()>& compute);
 
   /// Total entries across all four maps.
   [[nodiscard]] std::size_t size() const;
   void clear();
 
  private:
-  /// One artifact kind: its memory entries (guarded by `mutex_`), its
-  /// `flowcache.<kind>_{hits,misses}` counters and its on-disk codec.
+  /// One artifact kind: its memory entries and the keys being loaded or
+  /// computed (both guarded by `mutex_`), its
+  /// `flowcache.<kind>_{hits,misses}` counters and its on-disk codec. An
+  /// in-flight future resolves to the entry, or to null if its producer
+  /// threw.
   template <typename T>
   struct Tier {
+    using Shared = std::shared_ptr<const T>;
     perf::Counter& hits;
     perf::Counter& misses;
     std::optional<T> (ArtifactStore::*load)(const FlowKey&) const;
     bool (ArtifactStore::*save)(const FlowKey&, const T&);
-    std::unordered_map<FlowKey, std::shared_ptr<const T>, FlowKeyHash> entries;
+    std::unordered_map<FlowKey, Shared, FlowKeyHash> entries;
+    std::unordered_map<FlowKey, std::shared_future<Shared>, FlowKeyHash>
+        inflight;
   };
 
-  /// Memory lookup, then disk read-through outside the lock; a loaded
-  /// entry is promoted. Null on a miss.
+  /// The one miss path of every tier (see `experiment_or_compute`).
   template <typename T>
-  std::shared_ptr<const T> find(Tier<T>& tier, const FlowKey& key);
-  /// Insert-if-absent without a disk write (first writer wins); returns
-  /// the canonical entry.
-  template <typename T>
-  std::shared_ptr<const T> promote(Tier<T>& tier, const FlowKey& key, T value);
-  /// `promote`, plus a write-behind to disk by the caller whose insert won.
-  template <typename T>
-  std::shared_ptr<const T> insert(Tier<T>& tier, const FlowKey& key, T value);
+  std::shared_ptr<const T> get_or_compute(Tier<T>& tier, const FlowKey& key,
+                                          const std::function<T()>& compute);
 
   mutable std::mutex mutex_;
   Tier<MultiModeExperiment> experiments_;
   Tier<std::vector<place::Placement>> mdr_;
-  /// In-flight MDR computations (see mdr_or_compute): waiters share the
-  /// computing caller's future instead of recomputing.
-  std::unordered_map<
-      FlowKey,
-      std::shared_future<std::shared_ptr<const std::vector<place::Placement>>>,
-      FlowKeyHash>
-      mdr_inflight_;
   Tier<bool> probes_;
   Tier<std::vector<route::RouteResult>> mdr_routes_;
   /// Optional on-disk second level (core/artifact_store.h); null = memory

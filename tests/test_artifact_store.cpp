@@ -257,10 +257,10 @@ TEST(CanonicalHash, NegativeZeroNormalizes) {
 
 TEST(CanonicalHash, NanIsRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(canonical_f64_bits(nan), PreconditionError);
+  EXPECT_THROW((void)canonical_f64_bits(nan), PreconditionError);
   FlowOptions options;
   options.area_slack = nan;
-  EXPECT_THROW(hash_flow_options(options), PreconditionError);
+  EXPECT_THROW((void)hash_flow_options(options), PreconditionError);
 }
 
 TEST(CanonicalHash, PinnedValuesForNormalInputs) {
@@ -491,13 +491,14 @@ TEST(ArtifactStore, UnwritableRootDegradesGracefully) {
   EXPECT_FALSE(store.load_probe(key).has_value());
   EXPECT_EQ(store.size(), 0u);
 
-  // Through the FlowCache the broken store is equally invisible: lookups
-  // miss, stores still land in memory.
+  // Through the FlowCache the broken store is equally invisible: the first
+  // lookup misses and computes, and its result still lands in memory.
   FlowCache cache;
   cache.attach_store(std::make_shared<ArtifactStore>(bogus));
-  EXPECT_FALSE(cache.find_probe(key).has_value());
-  EXPECT_TRUE(cache.store_probe(key, true));
-  EXPECT_TRUE(cache.find_probe(key).has_value());
+  int computes = 0;
+  EXPECT_TRUE(cache.probe_or_compute(key, [&] { return ++computes > 0; }));
+  EXPECT_TRUE(cache.probe_or_compute(key, [&] { return ++computes < 0; }));
+  EXPECT_EQ(computes, 1);
 }
 
 TEST(ArtifactStore, ConcurrentWritersToOneKeyLandWholeEntries) {
@@ -694,6 +695,43 @@ TEST(ArtifactStore, BatchDriverSharesOneStoreAcrossWorkers) {
     ASSERT_TRUE(warm[i].experiment != nullptr) << warm[i].error;
     expect_same_experiment(*cold[i].experiment, *warm[i].experiment);
   }
+}
+
+/// A bad `timing_tradeoff` fails its own job before any annealing or store
+/// write, even where the run manifest needs the job's key; a valid job in
+/// the same batch still runs.
+TEST(ArtifactStore, BadTimingTradeoffFailsOnlyItsJobAndWritesNothing) {
+  TempDir dir;
+  const auto modes = std::make_shared<const std::vector<techmap::LutCircuit>>(
+      two_modes(25, 15));
+  const auto good = fast_options(CombinedCost::WireLength, 1);
+  auto nan = good;
+  nan.timing_tradeoff = std::numeric_limits<double>::quiet_NaN();
+  auto negative = good;
+  negative.timing_tradeoff = -0.5;
+
+  BatchOptions batch_options;
+  batch_options.cache_dir = dir.path.string();
+  BatchDriver driver(batch_options);
+  const auto moves = counter("place.moves_proposed");
+  const auto writes = counter("flowcache.disk_writes");
+  const auto bad = driver.run(
+      {BatchJob{"nan", modes, nan}, BatchJob{"negative", modes, negative}});
+  ASSERT_EQ(bad.size(), 2u);
+  for (const auto& result : bad) {
+    EXPECT_EQ(result.experiment, nullptr) << result.name;
+    EXPECT_EQ(result.outcome.status, JobStatus::Failed) << result.name;
+    EXPECT_EQ(result.outcome.error_kind, "precondition") << result.name;
+  }
+  EXPECT_EQ(counter("place.moves_proposed"), moves);
+  EXPECT_EQ(counter("flowcache.disk_writes"), writes);
+
+  const auto mixed =
+      driver.run({BatchJob{"nan", modes, nan}, BatchJob{"good", modes, good}});
+  ASSERT_EQ(mixed.size(), 2u);
+  EXPECT_EQ(mixed[0].outcome.status, JobStatus::Failed);
+  EXPECT_EQ(mixed[1].outcome.status, JobStatus::Ok) << mixed[1].error;
+  EXPECT_NE(mixed[1].experiment, nullptr);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 /// Batch flow driver tests: the determinism contract (batched multi-seed
-/// results bit-identical to sequential runs), cache-hit equivalence, and the
-/// cache hit/miss perf counters.
+/// results bit-identical to sequential runs), cache-hit equivalence, the
+/// cache hit/miss perf counters, and the flow cache's compute-once contract
+/// (identical work on one worker and on four).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "aig/bridge.h"
+#include "common/cancel.h"
 #include "common/perf.h"
 #include "core/batch.h"
 #include "core/metrics.h"
@@ -212,6 +217,124 @@ TEST(Batch, EngineComparisonReusesMdrSide) {
   const auto wl_metrics = wirelength_metrics(em);
   const auto wl_metrics2 = wirelength_metrics(wl);
   EXPECT_EQ(wl_metrics.mdr, wl_metrics2.mdr);
+}
+
+/// Every cached artifact is computed once whatever the worker count, so a
+/// parallel engine sweep does exactly the work of a one-worker sweep: the
+/// same routing and annealing work and the same misses on every shared tier.
+TEST(Batch, WorkIsIdenticalOnOneAndFourWorkers) {
+  const auto modes = std::make_shared<const std::vector<techmap::LutCircuit>>(
+      similar_mode_pair(150, 61));
+  std::vector<BatchJob> jobs;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const auto base = fast_options(CombinedCost::WireLength, seed);
+    for (auto& job : engine_sweep("c", modes, base)) {
+      jobs.push_back(std::move(job));
+    }
+  }
+  const char* const kWork[] = {"route.heap_pops",
+                               "place.moves_proposed",
+                               "flowcache.probe_misses",
+                               "flowcache.final_route_misses",
+                               "flowcache.mdr_misses",
+                               "flowcache.experiment_misses"};
+  struct Run {
+    std::vector<BatchResult> results;
+    std::vector<std::uint64_t> work;
+  };
+  auto run_on = [&](int workers) {
+    BatchOptions options;
+    options.jobs = workers;
+    BatchDriver driver(options);
+    perf::reset();
+    Run run{driver.run(jobs), {}};
+    for (const char* name : kWork) {
+      run.work.push_back(perf::counter_value(name));
+    }
+    return run;
+  };
+  const Run parallel = run_on(4);
+  const Run serial = run_on(1);
+
+  for (std::size_t i = 0; i < std::size(kWork); ++i) {
+    EXPECT_GT(serial.work[i], 0u) << kWork[i];
+    EXPECT_EQ(parallel.work[i], serial.work[i]) << kWork[i];
+  }
+  ASSERT_EQ(parallel.results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(serial.results[i].experiment != nullptr)
+        << serial.results[i].error;
+    ASSERT_TRUE(parallel.results[i].experiment != nullptr)
+        << parallel.results[i].error;
+    expect_same_experiment(*serial.results[i].experiment,
+                           *parallel.results[i].experiment);
+  }
+}
+
+/// Concurrent callers of one key share a single computation: compute runs
+/// once, everyone gets its value, and only the producer counts a miss.
+TEST(FlowCache, ConcurrentCallersComputeOnce) {
+  FlowCache cache;
+  FlowKey key;
+  key.width = 7;
+  std::atomic<int> computes{0};
+  std::atomic<bool> go{false};
+  perf::reset();
+  constexpr int kCallers = 8;
+  std::vector<int> values(kCallers, -1);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      values[static_cast<std::size_t>(t)] = cache.probe_or_compute(key, [&] {
+        ++computes;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return true;
+      });
+    });
+  }
+  go = true;
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(computes.load(), 1);
+  for (const int value : values) EXPECT_EQ(value, 1);
+  EXPECT_EQ(perf::counter_value("flowcache.probe_misses"), 1u);
+  EXPECT_EQ(perf::counter_value("flowcache.probe_hits"),
+            static_cast<std::uint64_t>(kCallers - 1));
+}
+
+/// A producer's exception is its own: a caller waiting on the same key does
+/// not inherit it but computes the key itself.
+TEST(FlowCache, WaiterRecomputesAfterProducerThrows) {
+  FlowCache cache;
+  FlowKey key;
+  key.width = 9;
+  std::atomic<bool> producing{false};
+  std::atomic<bool> waiter_started{false};
+  perf::reset();
+  auto cancelled = [&]() -> bool {
+    producing = true;
+    while (!waiter_started.load()) std::this_thread::yield();
+    // Give the waiter time to block on this computation.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw CancelledError("cancelled");
+  };
+  std::thread producer([&] {
+    EXPECT_THROW(cache.probe_or_compute(key, cancelled), CancelledError);
+  });
+  while (!producing.load()) std::this_thread::yield();
+  int waiter_computes = 0;
+  waiter_started = true;
+  const bool value = cache.probe_or_compute(key, [&] {
+    ++waiter_computes;
+    return true;
+  });
+  producer.join();
+  EXPECT_TRUE(value);
+  EXPECT_EQ(waiter_computes, 1);
+  // One miss per producer; the waiter's interrupted wait is no hit.
+  EXPECT_EQ(perf::counter_value("flowcache.probe_misses"), 2u);
+  EXPECT_EQ(perf::counter_value("flowcache.probe_hits"), 0u);
+  EXPECT_TRUE(cache.probe_or_compute(key, [] { return false; }));
 }
 
 TEST(Batch, RrgCacheSharesGraphs) {

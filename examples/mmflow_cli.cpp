@@ -193,6 +193,21 @@ void print_verify_stats() {
       value("verify.sim_fallbacks"), value("verify.cex_found"));
 }
 
+/// The experiment's channel-cut width bound and the widths below it that its
+/// width search settled without routing, e.g. "width bound 7 settled 4".
+std::string width_bound_note(const core::MultiModeExperiment& experiment,
+                             int max_width) {
+  const int bound = core::width_lower_bound(experiment, experiment.region);
+  std::string settled;
+  for (const int width :
+       route::searched_widths(experiment.min_width, max_width)) {
+    if (width >= bound) continue;
+    settled += (settled.empty() ? "" : ",") + std::to_string(width);
+  }
+  return "width bound " + std::to_string(bound) + " settled " +
+         (settled.empty() ? "none" : settled);
+}
+
 /// Runs the mode-equivalence gate on a finished experiment and prints the
 /// per-mode PROVEN/FAILED table (docs/VERIFICATION.md). Returns true only
 /// when every mode is proven equivalent to its input LUT circuit.
@@ -263,10 +278,12 @@ int run_suites(const std::vector<std::string>& suite_names,
           core::run_experiment(bench.modes, options, context);
       const auto metrics =
           core::reconfig_metrics(experiment, bitstream::MuxEncoding::Binary);
-      std::printf("%s: W=%d, DCS %llu bits (%.2fx faster reconfiguration)\n",
-                  label.c_str(), experiment.region.channel_width,
-                  static_cast<unsigned long long>(metrics.dcs_bits),
-                  metrics.dcs_speedup());
+      std::printf(
+          "%s: W=%d, DCS %llu bits (%.2fx faster reconfiguration), %s\n",
+          label.c_str(), experiment.region.channel_width,
+          static_cast<unsigned long long>(metrics.dcs_bits),
+          metrics.dcs_speedup(),
+          width_bound_note(experiment, options.max_channel_width).c_str());
       ++benchmarks_run;
       if (verify_modes) {
         all_proven =
@@ -300,12 +317,14 @@ int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
       options, num_seeds);
   const auto results = driver.run(batch_jobs);
 
-  std::printf("\n%-6s | %-9s | %-2s | %-5s | %-12s | %-12s | %-12s | %-10s | %s\n",
-              "seed", "status", "rt", "W", "DCS bits", "speed-up",
-              "wires vs MDR", "CP vs MDR", "wall ms");
+  std::printf(
+      "\n%-6s | %-9s | %-2s | %-5s | %-12s | %-12s | %-12s | %-10s | %-7s | "
+      "%s\n",
+      "seed", "status", "rt", "W", "DCS bits", "speed-up", "wires vs MDR",
+      "CP vs MDR", "wall ms", "width search");
   std::printf(
       "-------+-----------+----+-------+--------------+--------------+"
-      "--------------+------------+--------\n");
+      "--------------+------------+---------+-------------\n");
   const core::BatchResult* best = nullptr;
   core::ReconfigMetrics best_metrics;
   for (const auto& result : results) {
@@ -327,13 +346,15 @@ int run_seed_batch(const std::vector<techmap::LutCircuit>& modes,
     const auto timing = core::timing_report(*result.experiment, modes);
     std::printf(
         "%-6llu | %-9s | %2d | %5d | %12llu | %11.2fx | %12.2f | %10.2f | "
-        "%7.0f\n",
+        "%7.0f | %s\n",
         static_cast<unsigned long long>(result.seed),
         core::to_string(result.outcome.status), result.outcome.retries,
         result.experiment->region.channel_width,
         static_cast<unsigned long long>(metrics.dcs_bits),
         metrics.dcs_speedup(), wl.mean_ratio(), timing.mean_ratio(),
-        result.wall_ms);
+        result.wall_ms,
+        width_bound_note(*result.experiment, options.max_channel_width)
+            .c_str());
     if (best == nullptr || metrics.dcs_bits < best_metrics.dcs_bits) {
       best = &result;
       best_metrics = metrics;
@@ -766,9 +787,10 @@ int main(int argc, char** argv) {
     const auto wl = core::wirelength_metrics(experiment);
     const auto timing = core::timing_report(experiment, modes);
 
-    std::printf("\nregion: %dx%d logic blocks, channel width %d (min %d)\n",
+    std::printf("\nregion: %dx%d logic blocks, channel width %d (min %d, %s)\n",
                 experiment.region.nx, experiment.region.ny,
-                experiment.region.channel_width, experiment.min_width);
+                experiment.region.channel_width, experiment.min_width,
+                width_bound_note(experiment, options.max_channel_width).c_str());
     std::printf("tunable circuit: %zu merged of %zu per-mode connections\n",
                 experiment.merged_connections,
                 experiment.total_mode_connections);

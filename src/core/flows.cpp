@@ -202,7 +202,12 @@ std::shared_ptr<const T> FlowCache::get_or_compute(
     }
     // Another caller is loading or computing this key: share its result. A
     // null result means its producer threw; look the key up again.
-    if (Shared value = pending.get()) {
+    Shared value;
+    {
+      MMFLOW_PERF_SCOPE("flowcache.wait");
+      value = pending.get();
+    }
+    if (value != nullptr) {
       tier.hits.fetch_add(1, std::memory_order_relaxed);
       return value;
     }
@@ -276,21 +281,37 @@ void FlowCache::clear() {
 // ---- RrgCache ---------------------------------------------------------------
 
 std::shared_ptr<const RoutingGraph> RrgCache::get(const ArchSpec& spec) {
+  std::promise<Graph> promise;
+  std::shared_future<Graph> built;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = by_arch_.find(spec);
     if (it != by_arch_.end()) {
       MMFLOW_PERF_ADD("rrgcache.hits", 1);
-      return it->second;
+      built = it->second;
+    } else {
+      MMFLOW_PERF_ADD("rrgcache.misses", 1);
+      by_arch_.emplace(spec, promise.get_future().share());
     }
   }
+  // A hit may still be in flight: wait for its build outside the lock.
+  if (built.valid()) return built.get();
   // Build outside the lock: graph construction is the expensive part and
-  // other widths' lookups should not serialize behind it. A concurrent
-  // duplicate build of the same spec is resolved first-writer-wins.
-  MMFLOW_PERF_ADD("rrgcache.misses", 1);
-  auto built = std::make_shared<const RoutingGraph>(spec);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return by_arch_.try_emplace(spec, std::move(built)).first->second;
+  // other widths' lookups should not serialize behind it. Callers of this
+  // spec wait on the future instead of building it again. A build that
+  // throws (an invalid spec) throws for every one of them.
+  try {
+    auto graph = std::make_shared<const RoutingGraph>(spec);
+    promise.set_value(graph);
+    return graph;
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      by_arch_.erase(spec);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 std::size_t RrgCache::size() const {
@@ -364,6 +385,68 @@ SiteRouteSpec dcs_route_spec_from(const tunable::TunableCircuit& tc,
     spec.nets.push_back(std::move(out));
   }
   return spec;
+}
+
+int channel_cut_bound(const SiteRouteSpec& spec, const ArchSpec& region) {
+  MMFLOW_REQUIRE(region.nx >= 1 && region.ny >= 1);
+  // Per mode, a difference array of the nets crossing each column (rows):
+  // a net spanning terminal columns [lo, hi] crosses columns lo+1 .. hi-1.
+  std::vector<int> cols(static_cast<std::size_t>(region.nx) + 2);
+  std::vector<int> rows(static_cast<std::size_t>(region.ny) + 2);
+  auto widest = [](std::vector<int>& crossings, int wires_per_width) {
+    int bound = 0;
+    int count = 0;
+    for (int& delta : crossings) {
+      count += delta;
+      bound = std::max(bound, (count + wires_per_width - 1) / wires_per_width);
+      delta = 0;
+    }
+    return bound;
+  };
+  int bound = 1;
+  for (int m = 0; m < spec.num_modes; ++m) {
+    const route::ModeMask mode = route::ModeMask{1} << m;
+    for (const SiteRouteSpec::Net& net : spec.nets) {
+      int x_lo = net.source.x;
+      int x_hi = net.source.x;
+      int y_lo = net.source.y;
+      int y_hi = net.source.y;
+      bool active = false;
+      for (const SiteRouteSpec::Conn& conn : net.conns) {
+        if ((conn.modes & mode) == 0) continue;
+        active = true;
+        x_lo = std::min<int>(x_lo, conn.sink.x);
+        x_hi = std::max<int>(x_hi, conn.sink.x);
+        y_lo = std::min<int>(y_lo, conn.sink.y);
+        y_hi = std::max<int>(y_hi, conn.sink.y);
+      }
+      if (!active) continue;
+      MMFLOW_REQUIRE_MSG(x_lo >= 0 && x_hi <= region.nx + 1 && y_lo >= 0 &&
+                             y_hi <= region.ny + 1,
+                         "net " << net.name << " has a terminal off the "
+                                << region.nx << "x" << region.ny << " region");
+      if (x_hi - x_lo > 1) {
+        ++cols[static_cast<std::size_t>(x_lo) + 1];
+        --cols[static_cast<std::size_t>(x_hi)];
+      }
+      if (y_hi - y_lo > 1) {
+        ++rows[static_cast<std::size_t>(y_lo) + 1];
+        --rows[static_cast<std::size_t>(y_hi)];
+      }
+    }
+    bound = std::max({bound, widest(cols, region.ny + 1),
+                      widest(rows, region.nx + 1)});
+  }
+  return bound;
+}
+
+int width_lower_bound(const MultiModeExperiment& experiment,
+                      const ArchSpec& region) {
+  int bound = channel_cut_bound(experiment.dcs_route_spec, region);
+  for (const ModeImpl& impl : experiment.mdr) {
+    bound = std::max(bound, channel_cut_bound(impl.route_spec, region));
+  }
+  return bound;
 }
 
 namespace {
@@ -539,8 +622,8 @@ MultiModeExperiment compute_experiment(
   };
   {
     MMFLOW_PERF_SCOPE("flow.width_search");
-    exp.min_width =
-        route::search_min_width(all_route, options.max_channel_width);
+    exp.min_width = route::search_min_width(
+        all_route, options.max_channel_width, width_lower_bound(exp, base));
   }
   const int hi = exp.min_width;
 

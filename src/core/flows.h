@@ -191,6 +191,25 @@ struct MultiModeExperiment {
     const tunable::TunableCircuit& tc, const std::vector<arch::Site>& tlut_site,
     const std::vector<arch::Site>& tio_site);
 
+/// Channel-cut lower bound on the channel width at which `spec` can route on
+/// `region` (whose own `channel_width` is ignored). In each mode, a net whose
+/// active terminals (its source and the sinks of its connections active in
+/// that mode) lie strictly left and strictly right of logic column c needs
+/// its own CHANX(c, ·) wire: pins only enter and leave the channels, so no
+/// path crosses the column through a block, and the router never lets two
+/// nets share a wire in one mode. The column has (ny+1)·W such wires, so
+/// W >= ⌈count/(ny+1)⌉; rows bound W the same way with CHANY(·, r) and
+/// nx+1. Returns the largest such bound, and at least 1. `route()` cannot
+/// succeed below it (docs/ROUTING.md, "The channel-cut lower bound").
+[[nodiscard]] int channel_cut_bound(const SiteRouteSpec& spec,
+                                    const arch::ArchSpec& region);
+
+/// The width below which no probe of `experiment`'s width search can route:
+/// the largest `channel_cut_bound` of its MDR route specs and its DCS route
+/// spec on `region`.
+[[nodiscard]] int width_lower_bound(const MultiModeExperiment& experiment,
+                                    const arch::ArchSpec& region);
+
 // ---- flow-level caching -----------------------------------------------------
 
 /// Stable 64-bit structural hash of the mode circuits (FNV-1a over every
@@ -272,9 +291,10 @@ class FlowCache {
   /// `compute` only if neither memory nor the attached store holds it. A key
   /// is computed at most once even under concurrency: a caller that arrives
   /// while another caller loads or computes the same key waits for that
-  /// result and counts as a `flowcache.<kind>_hits`; the one caller that
-  /// counts the miss reads through to disk, computes only on a disk miss,
-  /// and writes the computed entry behind. If `compute` throws, the
+  /// result, timing the wait in the `flowcache.wait` timer, and counts as a
+  /// `flowcache.<kind>_hits`; the one caller that counts the miss reads
+  /// through to disk, computes only on a disk miss, and writes the computed
+  /// entry behind. If `compute` throws, the
   /// exception reaches that caller only; each waiter then looks the key up
   /// again and one of them computes it.
   std::shared_ptr<const MultiModeExperiment> experiment_or_compute(
@@ -330,9 +350,10 @@ class FlowCache {
 
 /// Shares immutable routing resource graphs across runs, keyed by the full
 /// ArchSpec (exact field equality — unlike the FlowCache's content hashes,
-/// no hash collision can ever substitute a wrong graph). Thread-safe;
-/// entries live until `clear()` (callers keep their shared_ptr past that).
-/// Bumps `rrgcache.hits` / `rrgcache.misses`.
+/// no hash collision can ever substitute a wrong graph). Thread-safe; each
+/// spec's graph is built once: callers that arrive during its build wait
+/// for it and count as hits. Entries live until `clear()` (callers keep
+/// their shared_ptr past that). Bumps `rrgcache.hits` / `rrgcache.misses`.
 class RrgCache {
  public:
   /// Returns the graph for `spec`, building it on first use.
@@ -342,14 +363,15 @@ class RrgCache {
   void clear();
 
  private:
+  using Graph = std::shared_ptr<const arch::RoutingGraph>;
   struct SpecHash {
     std::size_t operator()(const arch::ArchSpec& spec) const {
       return static_cast<std::size_t>(hash_arch(spec));
     }
   };
   mutable std::mutex mutex_;
-  std::unordered_map<arch::ArchSpec,
-                     std::shared_ptr<const arch::RoutingGraph>, SpecHash>
+  /// Built graphs and builds in flight.
+  std::unordered_map<arch::ArchSpec, std::shared_future<Graph>, SpecHash>
       by_arch_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -1042,21 +1041,14 @@ std::size_t RouteResult::total_wirelength(const RoutingGraph& rrg) const {
   return wires;
 }
 
-int search_min_width(const std::function<bool(int)>& routable_at,
-                     int max_width) {
-  // Memoized probe: each candidate width is evaluated at most once, even if
-  // the scan and the bisection revisit it.
-  std::map<int, bool> probed;
-  auto routable = [&](int width) {
-    const auto it = probed.find(width);
-    if (it != probed.end()) return it->second;
-    MMFLOW_PERF_ADD("route.width_probes", 1);
-    const bool ok = routable_at(width);
-    probed.emplace(width, ok);
-    return ok;
-  };
+namespace {
 
-  // Exponential scan upward from a small width.
+/// The width search's probe order over `routable`: scan upward from width 4
+/// by doubling, then bisect the bracketed range. Visits no width twice: the
+/// scan's widths all lie at or outside the bracket, and each bisection step
+/// probes strictly inside it.
+template <typename Routable>
+int scan_and_bisect(const Routable& routable, int max_width) {
   int lo = 0;       // unroutable lower bound (exclusive; 0 tracks never routes)
   int hi = 4;       // candidate
   while (hi <= max_width && !routable(hi)) {
@@ -1075,6 +1067,41 @@ int search_min_width(const std::function<bool(int)>& routable_at,
     }
   }
   return hi;
+}
+
+}  // namespace
+
+int search_min_width(const std::function<bool(int)>& routable_at,
+                     int max_width, int lower_bound) {
+  // The scan never revisits a width, so each is probed at most once.
+  return scan_and_bisect(
+      [&](int width) {
+        if (width < lower_bound) {
+          MMFLOW_PERF_ADD("route.width_probes_bounded", 1);
+          return false;
+        }
+        MMFLOW_PERF_ADD("route.width_probes", 1);
+        return routable_at(width);
+      },
+      max_width);
+}
+
+std::vector<int> searched_widths(int min_width, int max_width) {
+  // A failed probe becomes the bracket's `lo` and a routed one its `hi`, and
+  // the search ends at lo == min_width - 1, hi == min_width. So every verdict
+  // it saw agrees with `width >= min_width`, and a replay on that predicate
+  // visits the same widths.
+  std::vector<int> widths;
+  const int answer = scan_and_bisect(
+      [&](int width) {
+        widths.push_back(width);
+        return width >= min_width;
+      },
+      max_width);
+  MMFLOW_REQUIRE_MSG(answer == min_width, "no search of widths up to "
+                                              << max_width << " answers "
+                                              << min_width);
+  return widths;
 }
 
 int min_channel_width(

@@ -146,13 +146,25 @@ struct RouteResult {
                                 const RouteProblem& problem,
                                 const RouterOptions& options = {});
 
-/// Minimum-width search driver: memoizes `routable_at` (so each width is
-/// probed at most once), scans upward from width 4 by doubling, then
-/// binary-searches the bracketed range. Shared by `min_channel_width` and
-/// the flow-level region sizing. Throws if nothing <= `max_width` routes.
+/// Minimum-width search driver: scans upward from width 4 by doubling, then
+/// binary-searches the bracketed range, probing each width at most once.
+/// Shared by `min_channel_width` and the flow-level region sizing. Throws if nothing <= `max_width` routes.
 /// Re-entrant; `routable_at` is invoked from the calling thread only.
+///
+/// `lower_bound` must be a proven lower bound on every routable width (the
+/// flow passes `core::width_lower_bound`): a width below it is settled as
+/// unroutable without calling `routable_at` and counts under
+/// `route.width_probes_bounded`, a probed one under `route.width_probes`.
+/// For a sound bound the probed widths at or above it and the answer are
+/// those of the unbounded search.
 [[nodiscard]] int search_min_width(const std::function<bool(int)>& routable_at,
-                                   int max_width);
+                                   int max_width, int lower_bound = 1);
+
+/// The widths, in visiting order, of the `search_min_width` call up to
+/// `max_width` that answered `min_width` — whatever its predicate. Those
+/// below its `lower_bound` were settled without a probe. Throws if no
+/// search answers `min_width`.
+[[nodiscard]] std::vector<int> searched_widths(int min_width, int max_width);
 
 /// Smallest channel width for which `make_problem(rrg)` routes, scanning
 /// upward then binary-searching. `spec` provides everything but the channel

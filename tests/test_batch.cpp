@@ -337,6 +337,67 @@ TEST(FlowCache, WaiterRecomputesAfterProducerThrows) {
   EXPECT_TRUE(cache.probe_or_compute(key, [] { return false; }));
 }
 
+/// A caller that waits on another caller's computation times the wait as a
+/// `flowcache.wait` span; the producer computes and records none.
+TEST(FlowCache, WaiterTimesItsWaitAndTheProducerDoesNot) {
+  FlowCache cache;
+  FlowKey key;
+  key.width = 11;
+  std::atomic<bool> producing{false};
+  std::atomic<bool> waiter_started{false};
+  perf::reset();
+  std::thread producer([&] {
+    EXPECT_TRUE(cache.probe_or_compute(key, [&] {
+      producing = true;
+      while (!waiter_started.load()) std::this_thread::yield();
+      // Give the waiter time to block on this computation.
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      return true;
+    }));
+  });
+  while (!producing.load()) std::this_thread::yield();
+  // The producer is inside its computation: nothing has waited yet.
+  EXPECT_EQ(perf::timer("flowcache.wait").snapshot().count, 0u);
+  waiter_started = true;
+  EXPECT_TRUE(cache.probe_or_compute(key, [] { return false; }));
+  producer.join();
+  const perf::TimerStat wait = perf::timer("flowcache.wait").snapshot();
+  EXPECT_EQ(wait.count, 1u);
+  EXPECT_GT(wait.total_ns, 0u);
+  EXPECT_EQ(perf::counter_value("flowcache.probe_hits"), 1u);
+  // A memory hit does not wait either.
+  EXPECT_TRUE(cache.probe_or_compute(key, [] { return false; }));
+  EXPECT_EQ(perf::timer("flowcache.wait").snapshot().count, 1u);
+}
+
+/// Concurrent callers of one spec share one build: one miss, the rest hits,
+/// and every caller gets the same graph.
+TEST(Batch, RrgCacheBuildsEachSpecOnce) {
+  perf::reset();
+  RrgCache cache;
+  arch::ArchSpec spec;
+  spec.nx = 24;
+  spec.ny = 24;
+  spec.channel_width = 16;
+  constexpr int kCallers = 8;
+  std::atomic<bool> go{false};
+  std::vector<const arch::RoutingGraph*> graphs(kCallers, nullptr);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      graphs[static_cast<std::size_t>(t)] = cache.get(spec).get();
+    });
+  }
+  go = true;
+  for (auto& caller : callers) caller.join();
+  for (const auto* graph : graphs) EXPECT_EQ(graph, graphs.front());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(perf::counter_value("rrgcache.misses"), 1u);
+  EXPECT_EQ(perf::counter_value("rrgcache.hits"),
+            static_cast<std::uint64_t>(kCallers - 1));
+}
+
 TEST(Batch, RrgCacheSharesGraphs) {
   perf::reset();
   RrgCache cache;

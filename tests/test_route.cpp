@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "arch/rrg.h"
+#include "common/perf.h"
 #include "common/rng.h"
 #include "route/router.h"
 
@@ -356,6 +359,156 @@ TEST(MinChannelWidth, FindsMinimum) {
     const arch::RoutingGraph rrg(spec);
     EXPECT_FALSE(route(rrg, make_problem(rrg)).success);
   }
+}
+
+/// True iff some SINK on the far side of a cut is reachable from a SOURCE on
+/// the near side once every `cut` node is deleted. `side(node)` is -1 near,
+/// +1 far and 0 on the cut line.
+template <typename Cut, typename Side>
+bool crosses_cut(const arch::RoutingGraph& rrg, const Cut& cut,
+                 const Side& side) {
+  std::vector<std::uint8_t> seen(rrg.num_nodes(), 0);
+  std::deque<std::uint32_t> frontier;
+  for (std::uint32_t n = 0; n < rrg.num_nodes(); ++n) {
+    if (rrg.node(n).kind == arch::RrKind::Source && side(n) < 0) {
+      seen[n] = 1;
+      frontier.push_back(n);
+    }
+  }
+  while (!frontier.empty()) {
+    const std::uint32_t n = frontier.front();
+    frontier.pop_front();
+    if (rrg.node(n).kind == arch::RrKind::Sink && side(n) > 0) return true;
+    const auto [begin, end] = rrg.out_edges(n);
+    for (const auto* e = begin; e != end; ++e) {
+      const std::uint32_t to = rrg.edge(*e).to;
+      if (seen[to] == 0 && !cut(to)) {
+        seen[to] = 1;
+        frontier.push_back(to);
+      }
+    }
+  }
+  return false;
+}
+
+/// The premise of `core::channel_cut_bound`: every RRG path between blocks
+/// strictly left and strictly right of logic column c uses a CHANX(c, ·)
+/// node, and every path across logic row r a CHANY(·, r) node — in both
+/// directions and for every switch box, K, pad capacity and width.
+TEST(ChannelCut, WiresOfAColumnOrRowSeparateItsSides) {
+  for (const auto box : {arch::SwitchBoxKind::Subset,
+                         arch::SwitchBoxKind::Wilton}) {
+    for (const int k : {4, 6}) {
+      for (const int io : {1, 2}) {
+        for (const int w : {1, 2, 3, 5}) {
+          arch::ArchSpec spec;
+          spec.nx = 4;
+          spec.ny = 3;
+          spec.k = k;
+          spec.io_capacity = io;
+          spec.channel_width = w;
+          spec.switch_box = box;
+          const arch::RoutingGraph rrg(spec);
+          auto x_of = [&](std::uint32_t n) { return rrg.node(n).x; };
+          auto y_of = [&](std::uint32_t n) { return rrg.node(n).y; };
+          for (int c = 1; c <= spec.nx; ++c) {
+            const auto cut = [&](std::uint32_t n) {
+              return rrg.node(n).kind == arch::RrKind::ChanX && x_of(n) == c;
+            };
+            for (const int dir : {1, -1}) {
+              const auto side = [&](std::uint32_t n) {
+                return x_of(n) == c ? 0 : (x_of(n) < c ? -dir : dir);
+              };
+              EXPECT_FALSE(crosses_cut(rrg, cut, side))
+                  << "column " << c << " dir " << dir << " k " << k << " io "
+                  << io << " W " << w;
+            }
+          }
+          for (int r = 1; r <= spec.ny; ++r) {
+            const auto cut = [&](std::uint32_t n) {
+              return rrg.node(n).kind == arch::RrKind::ChanY && y_of(n) == r;
+            };
+            for (const int dir : {1, -1}) {
+              const auto side = [&](std::uint32_t n) {
+                return y_of(n) == r ? 0 : (y_of(n) < r ? -dir : dir);
+              };
+              EXPECT_FALSE(crosses_cut(rrg, cut, side))
+                  << "row " << r << " dir " << dir << " k " << k << " io "
+                  << io << " W " << w;
+            }
+          }
+          // Without the cut the sides do connect, so the check has teeth.
+          const auto keep_all = [](std::uint32_t) { return false; };
+          const auto left_right = [&](std::uint32_t n) {
+            return x_of(n) == 2 ? 0 : (x_of(n) < 2 ? -1 : 1);
+          };
+          EXPECT_TRUE(crosses_cut(rrg, keep_all, left_right));
+        }
+      }
+    }
+  }
+}
+
+/// A predicate shaped like a real non-monotone search: width 12 fails with
+/// 13 routing, and widths 6 and 11 route though the search never sees them.
+bool non_monotone(int width) { return width >= 13 || width == 11 || width == 6; }
+
+TEST(SearchMinWidth, VisitsEachWidthOnceInScanThenBisectOrder) {
+  std::vector<int> calls;
+  const int answer = search_min_width(
+      [&](int width) {
+        calls.push_back(width);
+        return non_monotone(width);
+      },
+      128);
+  EXPECT_EQ(answer, 13);
+  EXPECT_EQ(calls, (std::vector<int>{4, 8, 16, 12, 14, 13}));
+  EXPECT_EQ(searched_widths(13, 128), calls);
+}
+
+TEST(SearchMinWidth, BoundSettlesWidthsBelowItWithoutProbing) {
+  const std::vector<int> unbounded = searched_widths(13, 128);
+  for (int bound = 1; bound <= 13; ++bound) {
+    perf::reset();
+    std::vector<int> calls;
+    const int answer = search_min_width(
+        [&](int width) {
+          EXPECT_GE(width, bound) << "probed below the bound";
+          calls.push_back(width);
+          return non_monotone(width);
+        },
+        128, bound);
+    EXPECT_EQ(answer, 13) << "bound " << bound;
+    // The probes at or above the bound are the unbounded search's, once
+    // each; the rest count as bounded.
+    std::vector<int> expected;
+    std::size_t settled = 0;
+    for (const int width : unbounded) {
+      if (width >= bound) {
+        expected.push_back(width);
+      } else {
+        ++settled;
+      }
+    }
+    EXPECT_EQ(calls, expected) << "bound " << bound;
+    EXPECT_EQ(perf::counter_value("route.width_probes"), expected.size());
+    EXPECT_EQ(perf::counter_value("route.width_probes_bounded"), settled);
+  }
+}
+
+TEST(SearchMinWidth, BoundAboveMaxWidthThrowsLikeAnUnroutableSearch) {
+  int calls = 0;
+  auto routable = [&](int) {
+    ++calls;
+    return true;
+  };
+  EXPECT_THROW((void)search_min_width(routable, 32, 33), PreconditionError);
+  EXPECT_EQ(calls, 0);
+  EXPECT_THROW((void)search_min_width([](int) { return false; }, 32),
+               PreconditionError);
+  // Every width the bisection tries below 32 is settled.
+  EXPECT_EQ(search_min_width(routable, 32, 32), 32);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
